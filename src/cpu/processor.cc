@@ -191,8 +191,9 @@ Processor::beginOp(const Op &op, std::coroutine_handle<> h)
             procStats.useStallCycles += tok.ready - now;
             chargeStall(obs::StallCause::LoadMiss, now, tok.ready);
             const std::uint64_t value = tok.value;
+            const Tick ready = tok.ready;
             tokens.erase(it);
-            finishAt(tok.ready, value);
+            finishAt(ready, value);
         } else {
             active->wait = WaitKind::Register;
             active->waitStart = now;
@@ -427,6 +428,17 @@ Processor::attemptMem()
         gateOn(Gate::CacheBlocked);
         return;
     }
+}
+
+template <typename Eval>
+void
+Processor::finishAtEval(Tick when, Eval eval)
+{
+    MCSIM_ASSERT(active, "finishAtEval without active op");
+    active->wait = WaitKind::None;
+    queue.schedule(
+        when, [this, eval = std::move(eval)]() { resumeNow(eval()); },
+        EventQueue::prioCpu);
 }
 
 void
@@ -881,16 +893,6 @@ Processor::finishAt(Tick when, std::uint64_t result)
     active->wait = WaitKind::None;
     queue.schedule(
         when, [this, result]() { resumeNow(result); },
-        EventQueue::prioCpu);
-}
-
-void
-Processor::finishAtEval(Tick when, std::function<std::uint64_t()> eval)
-{
-    MCSIM_ASSERT(active, "finishAtEval without active op");
-    active->wait = WaitKind::None;
-    queue.schedule(
-        when, [this, eval = std::move(eval)]() { resumeNow(eval()); },
         EventQueue::prioCpu);
 }
 

@@ -371,8 +371,10 @@ class Processor
 
     /** Finish the active op: resume at @p when with @p result. */
     void finishAt(Tick when, std::uint64_t result);
-    /** Finish at @p when with a result computed at resume time. */
-    void finishAtEval(Tick when, std::function<std::uint64_t()> eval);
+    /** Finish at @p when with the result of @p eval, a
+     *  `std::uint64_t()` callable run at resume time. */
+    template <typename Eval>
+    void finishAtEval(Tick when, Eval eval);
     /** Resume the suspended coroutine right now with @p result. */
     void resumeNow(std::uint64_t result);
     void afterResume();

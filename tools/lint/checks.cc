@@ -131,10 +131,11 @@ checkNoEntropy(const LexedFile &f, std::vector<Raw> &out)
             continue;
         if (bannedTypes.count(t[i].text)) {
             out.push_back({t[i].line, kNoEntropy,
-                           "'" + std::string(t[i].text) +
-                               "' injects wall-clock/environment entropy; "
-                               "runs must be pure functions of config and "
-                               "seed (sim/random.hh)"});
+                           std::string("'")
+                               .append(t[i].text)
+                               .append("' injects wall-clock/environment "
+                                       "entropy; runs must be pure functions "
+                                       "of config and seed (sim/random.hh)")});
             continue;
         }
         if (bannedCalls.count(t[i].text) && i + 1 < n && t[i + 1].is("(") &&
@@ -384,10 +385,11 @@ checkChoiceSeam(const LexedFile &f, std::vector<Raw> &out)
             (t[i].is("Rng") || t[i].is("splitmix64") || t[i].is("fnv1a"))) {
             out.push_back(
                 {t[i].line, kChoiceSeam,
-                 "'" + std::string(t[i].text) +
-                     "' in a timing/scheduling layer; decisions here must "
-                     "come from config, the FaultPlan, or a "
-                     "sim/choice.hh seam site"});
+                 std::string("'")
+                     .append(t[i].text)
+                     .append("' in a timing/scheduling layer; decisions "
+                             "here must come from config, the FaultPlan, "
+                             "or a sim/choice.hh seam site")});
             continue;
         }
         if (!allowed && t[i].is("choose") && i > 0 &&

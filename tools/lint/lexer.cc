@@ -193,8 +193,9 @@ lex(std::string path, std::string source)
                     i = n;
                     continue;
                 }
-                std::string closer = ")" +
-                    src.substr(dStart, paren - dStart) + "\"";
+                std::string closer = std::string(")")
+                                         .append(src, dStart, paren - dStart)
+                                         .append("\"");
                 std::size_t end = src.find(closer, paren + 1);
                 end = end == std::string::npos ? n : end + closer.size();
                 out.tokens.push_back(
