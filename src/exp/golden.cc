@@ -159,6 +159,16 @@ compareToGolden(const Json &actual, const Json &golden,
                               got->asNumber(), tol));
             }
         }
+        // The other direction too, so the golden cannot silently lag the
+        // metrics a run reports.
+        for (const auto &entry : have_metrics->pairs()) {
+            if (!want_metrics->find(entry.first)) {
+                firstDivergence(diff, grid_name, id,
+                                strprintf("metric %s: missing from the "
+                                          "golden",
+                                          entry.first.c_str()));
+            }
+        }
     }
 
     if (diff.divergences > 1) {

@@ -4,7 +4,8 @@
  *
  * A golden file is a committed "mcsim-sweep-v1" document for one grid
  * (tests/golden/<grid>.json). compareToGolden() matches jobs by point
- * id and diffs every metric under the per-metric tolerance policy:
+ * id and diffs every metric under the per-metric tolerance policy (a
+ * metric present on only one side is a divergence too):
  *
  *  - integral event counters (cycles, reference/miss/sync counts, check
  *    counters) must match exactly -- the simulator is deterministic, so

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -30,9 +31,11 @@ namespace mcsim
  * simulator bug (panic). Within a tick, lower priority values run first and
  * ties preserve insertion order.
  *
- * A pending event is a 24-byte key in a binary min-heap plus a closure in a
- * slot of a free-listed vector; the heap moves only keys, and the closure
- * stays put until its event runs.
+ * A pending event's closure sits in a slot of a free-listed vector, where it
+ * stays until the event runs. An event fewer than #ringTicks ticks ahead at
+ * one of the three named priorities is linked into a FIFO lane of a
+ * calendar ring; any other event is a 24-byte key in a binary min-heap.
+ * The next event is the earlier of the first lane head and the heap top.
  */
 class EventQueue
 {
@@ -139,7 +142,10 @@ class EventQueue
         prioCpu = 10,       ///< processor resumption (sees this tick's state)
     };
 
-    EventQueue() = default;
+    /** Declared here and defaulted in the .cc, so the constructor is
+     *  user-provided: even a value-initialised queue leaves the ring
+     *  unwritten (a bucket is set up when it first gets an event). */
+    EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -147,10 +153,10 @@ class EventQueue
     Tick now() const { return curTick_; }
 
     /** Number of events not yet executed. */
-    std::size_t pending() const { return heap.size(); }
+    std::size_t pending() const { return ringEvents + heap.size(); }
 
     /** True when no events remain. */
-    bool empty() const { return heap.empty(); }
+    bool empty() const { return pending() == 0; }
 
     /** Total events executed since construction. */
     std::uint64_t executed() const { return numExecuted; }
@@ -180,7 +186,19 @@ class EventQueue
     /** Execute all events (or up to @p maxEvents as a runaway guard). */
     std::uint64_t run(std::uint64_t maxEvents = ~std::uint64_t(0));
 
+    /** Ring width in ticks, a power of two: an event at a named priority
+     *  fewer than this many ticks ahead goes into a ring lane. */
+    static constexpr std::uint32_t ringTicks = 256;
+    static_assert((ringTicks & (ringTicks - 1)) == 0 && ringTicks % 64 == 0,
+                  "bucket arithmetic wraps mod 2^32 and the occupancy "
+                  "bitmap is whole 64-bit words");
+
   private:
+    static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
+    /** The priority each bucket lane holds, in running order. */
+    static constexpr int lanePriority[] = {prioDeliver, prioDefault, prioCpu};
+    static constexpr std::size_t numLanes = std::size(lanePriority);
+
     /** Heap entry: the ordering fields plus the closure's slot index. */
     struct Key
     {
@@ -191,12 +209,50 @@ class EventQueue
     };
     static_assert(sizeof(Key) == 24);
 
-    /** Pop the earliest event and run it. */
-    void runNext();
+    /** A closure plus its link: the next slot in its lane (or in the free
+     *  list), and its seq for ordering a lane head against the heap top. */
+    struct Slot
+    {
+        Callback cb;
+        std::uint64_t seq;
+        std::uint32_t next;
+    };
 
+    /** One tick's events at one priority, first-in first-out, so in seq
+     *  order; `tail` is meaningful only while `head` is a slot. */
+    struct Lane
+    {
+        std::uint32_t head;
+        std::uint32_t tail;
+    };
+
+    /** One tick's lanes, valid only while its occupancy bit is set. */
+    struct Bucket
+    {
+        Lane lanes[numLanes];
+    };
+
+    /** Lane of @p priority, or numLanes when it has none. */
+    static std::size_t laneOf(int priority);
+
+    /** The occupied bucket nearest at or after @p from, cyclically; the
+     *  ring must hold an event. */
+    std::uint32_t firstOccupied(std::uint32_t from) const;
+
+    /** Run the earliest event if it is due by @p limit.
+     *  @return false (running nothing) when no event is due by then */
+    bool runNext(Tick limit);
+
+    /** No initialiser: see the constructor. */
+    Bucket ring[ringTicks];
+    /** Bit b set when bucket b holds an event. */
+    std::uint64_t occupied[ringTicks / 64] = {};
+    /** Events in ring lanes; every other pending event is in the heap. */
+    std::size_t ringEvents = 0;
     std::vector<Key> heap;
-    std::vector<Callback> slots;
-    std::vector<std::uint32_t> freeSlots;
+    std::vector<Slot> slots;
+    /** First slot of the free list, threaded through Slot::next. */
+    std::uint32_t freeSlot = noSlot;
     Tick curTick_ = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t numExecuted = 0;

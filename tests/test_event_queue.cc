@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, priorities,
- * determinism, time-window execution, and closure lifetimes in the slot
- * pool (move-only captures, pending captures at destruction, throwing
- * callbacks).
+ * determinism, time-window execution, the merge of ring lanes with the
+ * far-event heap, and closure lifetimes in the slot pool (move-only
+ * captures, pending captures at destruction, throwing callbacks).
  */
 
 #include <gtest/gtest.h>
@@ -158,10 +158,12 @@ namespace
  * event is logged in scheduling (seq) order; the kernel must execute them
  * in the order of a stable sort of that log by (tick, priority). Each
  * event schedules one or two more: many at its own tick (re-entrant), the
- * rest 0-64 ticks ahead and a few far ahead. A same-tick child gets a
- * priority no lower than its parent's, since one below it would have been
- * due before the parent and the sort would no longer be a valid
- * reference. Slots are freed and reused throughout.
+ * rest 0-64 ticks ahead, some just either side of the ring width and a
+ * few far ahead, so ring lanes and the heap both hold events of one
+ * (tick, priority). A same-tick child gets a priority no lower than its
+ * parent's, since one below it would have been due before the parent and
+ * the sort would no longer be a valid reference. Slots are freed and
+ * reused throughout.
  */
 struct OrderModel
 {
@@ -176,6 +178,8 @@ struct OrderModel
                                     EventQueue::prioDefault,
                                     EventQueue::prioCpu,
                                     EventQueue::prioCpu + 5};
+    static constexpr Tick w = EventQueue::ringTicks;
+    static constexpr Tick straddle[] = {w - 1, w, w + 1, 2 * w};
 
     EventQueue q;
     Rng rng{20261017};
@@ -205,6 +209,7 @@ struct OrderModel
         for (int k = 0; k < kids && log.size() < target; ++k) {
             const Tick delay = rng.chance(0.2)    ? 0
                                : rng.chance(0.01) ? 1000 + rng.below(100000)
+                               : rng.chance(0.1)  ? straddle[rng.below(4)]
                                                   : rng.below(65);
             int p = anyPriority();
             while (delay == 0 && p < log[id].priority)
@@ -238,6 +243,60 @@ TEST(EventQueue, OrderMatchesStableSortReference)
     EXPECT_EQ(m.ran, expected);
     EXPECT_EQ(m.q.executed(), OrderModel::target);
     EXPECT_TRUE(m.q.empty());
+}
+
+TEST(EventQueue, FarEventPrecedesLaterNearEventOfSameTickAndPriority)
+{
+    // Events for tick t scheduled at tick 0 are a ring width or more
+    // ahead; those scheduled at tick 20 are not. Whichever structure holds
+    // them, (tick, priority, seq) order decides.
+    constexpr Tick w = EventQueue::ringTicks;
+    constexpr Tick t = w + 10;
+    EventQueue q;
+    std::vector<char> order;
+    auto at = [&](char name, int priority) {
+        q.schedule(t, [&order, name]() { order.push_back(name); }, priority);
+    };
+    at('A', EventQueue::prioCpu);
+    at('B', EventQueue::prioDefault);
+    at('F', EventQueue::prioCpu + 5);
+    q.schedule(20, [&]() {
+        at('C', EventQueue::prioCpu);
+        at('D', EventQueue::prioDeliver);
+        at('E', EventQueue::prioDefault);
+        at('G', EventQueue::prioCpu + 5);
+    });
+    q.run();
+    EXPECT_EQ(order, (std::vector<char>{'D', 'B', 'E', 'A', 'C', 'F', 'G'}));
+    EXPECT_EQ(q.now(), t);
+}
+
+TEST(EventQueue, RunUntilCrossesIdleGapLongerThanRing)
+{
+    constexpr Tick w = EventQueue::ringTicks;
+    EventQueue q;
+    std::vector<Tick> seen;
+    auto note = [&]() { seen.push_back(q.now()); };
+    q.schedule(5, note);
+    q.schedule(5 + 3 * w, note);
+    EXPECT_EQ(q.runUntil(5 + 2 * w), 1u);
+    EXPECT_EQ(q.now(), 5u);
+    EXPECT_EQ(q.runUntil(10 * w + 3), 1u);
+    EXPECT_EQ(q.now(), 10 * w + 3);
+
+    // The ring is reused from the new time on: events either side of the
+    // ring width, in buckets on both sides of now's.
+    const Tick now = q.now();
+    q.schedule(now + w, note);
+    q.schedule(now + w - 1, note);
+    q.schedule(now + 1, note);
+    q.schedule(now, note, EventQueue::prioCpu);
+    q.schedule(now + 2 * w, note);
+    EXPECT_EQ(q.pending(), 5u);
+    EXPECT_EQ(q.run(), 5u);
+    EXPECT_EQ(seen, (std::vector<Tick>{5, 5 + 3 * w, now, now + 1,
+                                       now + w - 1, now + w, now + 2 * w}));
+    EXPECT_TRUE(q.empty());
 }
 
 namespace

@@ -122,6 +122,29 @@ TEST(Golden, PerturbedBaselineNamesFirstDivergentMetric)
     EXPECT_NE(diff.report.find(id), std::string::npos) << diff.report;
 }
 
+TEST(Golden, MetricMissingFromGoldenIsReported)
+{
+    // A metric the results report but the golden lacks is a divergence,
+    // so the committed file cannot silently fall behind the metric set.
+    exp::Json golden = loadGolden();
+    exp::Json &job = golden["grids"]["quick"].elements().at(0);
+    const std::string id = job["id"].asString();
+    exp::Json trimmed = exp::Json::object();
+    for (const auto &[metric, value] : job["metrics"].pairs())
+        if (metric != "protocolNacks")
+            trimmed[metric] = value;
+    job["metrics"] = std::move(trimmed);
+
+    const exp::GoldenDiff diff =
+        exp::compareToGolden(quickOutcomes().toJson(), golden, "quick");
+    EXPECT_FALSE(diff.ok);
+    EXPECT_EQ(diff.divergences, 1u) << diff.report;
+    EXPECT_NE(diff.report.find("protocolNacks: missing from the golden"),
+              std::string::npos)
+        << diff.report;
+    EXPECT_NE(diff.report.find(id), std::string::npos) << diff.report;
+}
+
 TEST(Golden, TolerancePolicy)
 {
     // Event counters are exact; derived doubles get 1e-9 relative.
