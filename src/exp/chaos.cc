@@ -32,8 +32,7 @@ runToFingerprint(const SweepPoint &point, Tick &cycles_out)
     return workload->resultFingerprint(machine);
 }
 
-} // namespace
-
+/** Run one baseline/faulted pair (what each worker executes). */
 ChaosPointResult
 runChaosPoint(const SweepPoint &point, const std::string &preset)
 {
@@ -106,6 +105,27 @@ runChaosPoint(const SweepPoint &point, const std::string &preset)
     }
     return result;
 }
+
+/** One pair outcome, exactly the element of ChaosReport::toJson()'s
+ *  "points" array. */
+Json
+chaosPointToJson(const ChaosPointResult &result)
+{
+    Json job = Json::object();
+    job["id"] = Json(result.id);
+    job["status"] = Json(result.ok ? "ok" : "failed");
+    if (!result.ok)
+        job["error"] = Json(result.error);
+    job["faultsInjected"] = Json(result.faultsInjected);
+    job["retries"] = Json(result.retries);
+    job["nacks"] = Json(result.nacks);
+    job["staleMessages"] = Json(result.staleMessages);
+    job["baselineCycles"] = Json(result.baselineCycles);
+    job["faultedCycles"] = Json(result.faultedCycles);
+    return job;
+}
+
+} // namespace
 
 ChaosReport
 runChaos(const Grid &grid, const ChaosOptions &options)
@@ -232,51 +252,6 @@ ChaosReport::summary() const
                "sweep exercised nothing\n";
     }
     return out;
-}
-
-Json
-chaosPointToJson(const ChaosPointResult &result)
-{
-    Json job = Json::object();
-    job["id"] = Json(result.id);
-    job["status"] = Json(result.ok ? "ok" : "failed");
-    if (!result.ok)
-        job["error"] = Json(result.error);
-    job["faultsInjected"] = Json(result.faultsInjected);
-    job["retries"] = Json(result.retries);
-    job["nacks"] = Json(result.nacks);
-    job["staleMessages"] = Json(result.staleMessages);
-    job["baselineCycles"] = Json(result.baselineCycles);
-    job["faultedCycles"] = Json(result.faultedCycles);
-    return job;
-}
-
-ChaosPointResult
-chaosPointFromJson(const Json &doc)
-{
-    ChaosPointResult result;
-    auto number = [&](const char *name) -> std::uint64_t {
-        const Json *value = doc.find(name);
-        if (value == nullptr || !value->isNumber())
-            fatal("chaos record lacks numeric field '%s'", name);
-        return static_cast<std::uint64_t>(value->asNumber());
-    };
-    const Json *id = doc.find("id");
-    const Json *status = doc.find("status");
-    if (id == nullptr || !id->isString() || status == nullptr ||
-        !status->isString())
-        fatal("chaos record lacks id/status");
-    result.id = id->asString();
-    result.ok = status->asString() == "ok";
-    if (const Json *error = doc.find("error"))
-        result.error = error->asString();
-    result.faultsInjected = number("faultsInjected");
-    result.retries = number("retries");
-    result.nacks = number("nacks");
-    result.staleMessages = number("staleMessages");
-    result.baselineCycles = number("baselineCycles");
-    result.faultedCycles = number("faultedCycles");
-    return result;
 }
 
 Json

@@ -130,8 +130,7 @@ SweepRunner::runIndices(const Grid &grid,
                 // Serialized: journal-style sinks append without locking.
                 std::lock_guard<std::mutex> lock(reportMutex);
                 try {
-                    if (!on_complete(index, results[i]))
-                        stop.store(true, std::memory_order_relaxed);
+                    on_complete(index, results[i]);
                 } catch (...) {
                     if (!sinkError)
                         sinkError = std::current_exception();
@@ -260,21 +259,81 @@ jobToJson(const JobResult &job)
 Json
 SweepOutcomes::toJson() const
 {
-    Json doc = Json::object();
-    doc["schema"] = Json("mcsim-sweep-v1");
-    Json grids = Json::object();
+    std::vector<std::pair<std::string, Json>> grids;
+    grids.reserve(order.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
         Json jobs = Json::array();
         for (const JobResult &job : perGrid[i])
             jobs.push(jobToJson(job));
-        grids[order[i]] = std::move(jobs);
+        grids.emplace_back(order[i], std::move(jobs));
     }
-    doc["grids"] = std::move(grids);
-    return doc;
+    return sweepDocument(std::move(grids));
 }
 
 std::string
-csvHeader()
+SweepOutcomes::toCsv() const
+{
+    return documentCsv(toJson());
+}
+
+Json
+sweepDocument(std::vector<std::pair<std::string, Json>> grids)
+{
+    Json doc = Json::object();
+    doc["schema"] = Json("mcsim-sweep-v1");
+    Json members = Json::object();
+    for (auto &[name, jobs] : grids)
+        members[name] = std::move(jobs);
+    doc["grids"] = std::move(members);
+    return doc;
+}
+
+namespace
+{
+
+/** One CSV row (trailing newline included) from a job's canonical JSON;
+ *  numbers reuse the canonical writer, so the bytes depend only on the
+ *  JSON, never on whether it came from live results or a journal. */
+std::string
+csvRow(const std::string &grid_name, const Json &job,
+       const StatSet &reference)
+{
+    auto field = [&](const char *name) -> const Json & {
+        const Json *value = job.find(name);
+        if (value == nullptr)
+            fatal("csv: job record lacks field '%s'", name);
+        return *value;
+    };
+    auto text = [&](const char *name) {
+        const Json &value = field(name);
+        return value.isString() ? value.asString() : value.dump();
+    };
+    std::string out;
+    out += grid_name;
+    for (const char *name :
+         {"id", "benchmark", "model", "scale", "procs", "cacheBytes",
+          "lineBytes", "delay", "schedule", "seed", "status"}) {
+        out += ',';
+        out += text(name);
+    }
+    const Json &metrics = field("metrics");
+    for (const auto &[name, value] : reference) {
+        (void)value;
+        const Json *metric = metrics.find(name);
+        if (metric == nullptr)
+            fatal("csv: job '%s' lacks metric '%s'",
+                  text("id").c_str(), name.c_str());
+        out += ',';
+        out += metric->dump();
+    }
+    out += "\n";
+    return out;
+}
+
+} // namespace
+
+std::string
+documentCsv(const Json &doc)
 {
     // Fixed column set: point identity, status, then the RunMetrics
     // export in its canonical (alphabetical) order, taken from a default
@@ -289,54 +348,12 @@ csvHeader()
         out += name;
     }
     out += "\n";
-    return out;
-}
-
-std::string
-csvRowFromJson(const std::string &grid_name, const Json &job)
-{
-    auto field = [&](const char *name) -> const Json & {
-        const Json *value = job.find(name);
-        if (value == nullptr)
-            fatal("csv: job record lacks field '%s'", name);
-        return *value;
-    };
-    auto text = [&](const char *name) {
-        const Json &value = field(name);
-        // Numbers reuse the canonical writer, so a row rebuilt from a
-        // journaled payload matches one serialized from live results.
-        return value.isString() ? value.asString() : value.dump();
-    };
-    std::string out;
-    out += grid_name;
-    for (const char *name :
-         {"id", "benchmark", "model", "scale", "procs", "cacheBytes",
-          "lineBytes", "delay", "schedule", "seed", "status"}) {
-        out += ',';
-        out += text(name);
-    }
-    const Json &metrics = field("metrics");
-    const StatSet reference = core::RunMetrics().toStatSet();
-    for (const auto &[name, value] : reference) {
-        (void)value;
-        const Json *metric = metrics.find(name);
-        if (metric == nullptr)
-            fatal("csv: job '%s' lacks metric '%s'",
-                  text("id").c_str(), name.c_str());
-        out += ',';
-        out += metric->dump();
-    }
-    out += "\n";
-    return out;
-}
-
-std::string
-SweepOutcomes::toCsv() const
-{
-    std::string out = csvHeader();
-    for (std::size_t i = 0; i < order.size(); ++i)
-        for (const JobResult &job : perGrid[i])
-            out += csvRowFromJson(order[i], jobToJson(job));
+    const Json *grids = doc.find("grids");
+    if (grids == nullptr)
+        fatal("csv: results document lacks 'grids'");
+    for (const auto &[name, jobs] : grids->pairs())
+        for (const Json &job : jobs.elements())
+            out += csvRow(name, job, reference);
     return out;
 }
 

@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/metrics.hh"
@@ -67,11 +68,11 @@ struct SweepOptions
  * grid-global point index. Calls are serialized (one at a time, under a
  * lock), so a sink may append to a checkpoint journal without its own
  * synchronization; completion ORDER is scheduling-dependent, so a sink
- * must never bake it into canonical output (the svc merge step orders by
- * index). Return false to stop scheduling new jobs -- jobs already in
- * flight still complete and are still reported.
+ * must never bake it into canonical output (the journal merge orders by
+ * index). A sink that throws stops new scheduling; runIndices rethrows
+ * its first exception once the jobs in flight have finished.
  */
-using JobSink = std::function<bool(std::size_t, const JobResult &)>;
+using JobSink = std::function<void(std::size_t, const JobResult &)>;
 
 /** Thread-pool sweep runner. */
 class SweepRunner
@@ -119,10 +120,10 @@ class SweepOutcomes
     std::size_t failedJobs() const;
     /** @} */
 
-    /** The canonical results document ("mcsim-sweep-v1"). */
+    /** The canonical results document (sweepDocument of every grid). */
     Json toJson() const;
 
-    /** Flat CSV (one row per job, fixed column set). */
+    /** documentCsv(toJson()). */
     std::string toCsv() const;
 
   private:
@@ -138,23 +139,26 @@ SweepOutcomes runGrid(const Grid &grid, SweepOptions options = {});
 
 /**
  * Canonical serialization of one job, exactly the element the
- * "mcsim-sweep-v1" document's grid arrays hold. Public so the svc
- * checkpoint journal can store -- and the merge step can splice --
- * byte-identical payloads. @{
+ * "mcsim-sweep-v1" document's grid arrays hold. Checkpoint journals
+ * store its dump, so a merged document is byte-identical to a plain
+ * run's.
  */
 Json jobToJson(const JobResult &job);
 
-/** The fixed CSV header row (trailing newline included). */
-std::string csvHeader();
+/**
+ * The canonical results document, "mcsim-sweep-v1": @p grids in order,
+ * each a grid name and its array of jobToJson elements in grid order.
+ * The only code that constructs that document, for plain and
+ * journaled runs alike.
+ */
+Json sweepDocument(std::vector<std::pair<std::string, Json>> grids);
 
 /**
- * One CSV row (trailing newline included) rebuilt from a job's canonical
- * JSON, so rows serialized from live results and rows merged from
- * journaled payloads are byte-identical by construction. fatal() if
- * @p job lacks a point field or a reference metric.
+ * Flat CSV of a results document: a fixed header row, then one row per
+ * job (point identity, status, every RunMetrics value), grids in
+ * document order. fatal() if a job lacks a field or metric.
  */
-std::string csvRowFromJson(const std::string &grid_name, const Json &job);
-/** @} */
+std::string documentCsv(const Json &doc);
 
 } // namespace mcsim::exp
 

@@ -32,12 +32,10 @@ namespace mcsim::fault
 {
 
 /**
- * The seed-derived per-site decision chain every fault plan is built
- * on: each call advances a global nonce and folds (seed, site, nonce)
+ * The seed-derived per-site decision chain the fault plan is built on:
+ * each call advances a global nonce and folds (seed, site, nonce)
  * through splitmix64, so a plan's answers are a pure function of its
  * seed and its own query order -- never of wall clock or scheduling.
- * Shared by the machine-level FaultPlan below and the process-level
- * plan in src/svc/chaos_svc.hh.
  */
 class DecisionChain
 {

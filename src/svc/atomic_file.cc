@@ -1,15 +1,10 @@
 #include "svc/atomic_file.hh"
 
-#include <algorithm>
 #include <cstdio>
-#include <vector>
 
-#include <dirent.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include "sim/logging.hh"
-#include "svc/svc_io.hh"
 
 namespace mcsim::svc
 {
@@ -23,18 +18,18 @@ writeFileAtomic(const std::string &path, const std::string &content)
         fatal("cannot write '%s'", temp.c_str());
     const bool wrote =
         content.empty() ||
-        svcIo().write(content.data(), content.size(), file) ==
+        std::fwrite(content.data(), 1, content.size(), file) ==
             content.size();
     // fflush pushes the bytes to the OS before the rename publishes the
     // name; a kill after the rename therefore always leaves a complete
     // file (crash consistency against SIGKILL, not power loss).
-    const bool flushed = wrote && svcIo().flush(file) == 0;
+    const bool flushed = wrote && std::fflush(file) == 0;
     const bool closed = std::fclose(file) == 0;
     if (!wrote || !flushed || !closed) {
         std::remove(temp.c_str());
         fatal("short write to '%s'", temp.c_str());
     }
-    if (svcIo().rename(temp.c_str(), path.c_str()) != 0) {
+    if (std::rename(temp.c_str(), path.c_str()) != 0) {
         std::remove(temp.c_str());
         fatal("cannot rename '%s' into '%s'", temp.c_str(), path.c_str());
     }
@@ -64,43 +59,12 @@ ensureDirectory(const std::string &path)
             continue;
         }
         if (::mkdir(prefix.c_str(), 0777) != 0) {
-            // A concurrent worker may have just created it.
+            // A concurrent shard may have just created it.
             if (::stat(prefix.c_str(), &st) != 0 || !S_ISDIR(st.st_mode))
                 fatal("svc: cannot create directory '%s'",
                       prefix.c_str());
         }
     }
-}
-
-void
-removeTree(const std::string &path)
-{
-    struct stat st = {};
-    if (::lstat(path.c_str(), &st) != 0)
-        return;
-    if (!S_ISDIR(st.st_mode)) {
-        if (::unlink(path.c_str()) != 0)
-            fatal("svc: cannot remove '%s'", path.c_str());
-        return;
-    }
-    DIR *dir = ::opendir(path.c_str());
-    if (dir == nullptr)
-        fatal("svc: cannot list '%s'", path.c_str());
-    // Sorted traversal: deletion order (and thus any error message) is
-    // deterministic regardless of directory hash order.
-    std::vector<std::string> entries;
-    for (struct dirent *de = ::readdir(dir); de != nullptr;
-         de = ::readdir(dir)) {
-        const std::string name = de->d_name;
-        if (name != "." && name != "..")
-            entries.push_back(name);
-    }
-    ::closedir(dir);
-    std::sort(entries.begin(), entries.end());
-    for (const std::string &name : entries)
-        removeTree(path + "/" + name);
-    if (::rmdir(path.c_str()) != 0)
-        fatal("svc: cannot remove directory '%s'", path.c_str());
 }
 
 } // namespace mcsim::svc

@@ -2,13 +2,12 @@
  * @file
  * Atomic whole-file writes for results documents.
  *
- * Every canonical output (sweep JSON/CSV, golden documents, merged svc
- * results) is written to a sibling temporary file and renamed into
- * place, so a run killed at any instant can never leave a truncated
- * document behind: readers see either the previous complete file or the
- * new complete file, never a prefix. Checkpoint journals deliberately do
- * NOT use this -- they are append-only and crash-tolerant by framing
- * (src/svc/journal.hh).
+ * Every canonical output (sweep JSON/CSV, golden documents) is written
+ * to a sibling temporary file and renamed into place, so a run killed
+ * at any instant can never leave a truncated document behind: readers
+ * see either the previous complete file or the new complete file, never
+ * a prefix. Checkpoint journals deliberately do NOT use this -- they are
+ * append-only and crash-tolerant by framing (src/svc/journal.hh).
  */
 
 #ifndef MCSIM_SVC_ATOMIC_FILE_HH
@@ -33,14 +32,6 @@ void writeFileAtomic(const std::string &path, const std::string &content);
  * created or exists as a non-directory.
  */
 void ensureDirectory(const std::string &path);
-
-/**
- * Recursively delete @p path (file or directory tree), in sorted entry
- * order for deterministic behaviour. A missing path is a no-op; fatal()
- * when something cannot be removed. Used by the chaos harness to reset
- * round directories.
- */
-void removeTree(const std::string &path);
 
 } // namespace mcsim::svc
 

@@ -4,11 +4,9 @@
 #include <unistd.h>
 #include <utility>
 
-#include <algorithm>
-#include <map>
+#include <set>
 
 #include "sim/logging.hh"
-#include "svc/svc_io.hh"
 #include "trace/format.hh"
 
 namespace mcsim::svc
@@ -57,32 +55,7 @@ frameCrc(const std::uint8_t *head, const void *payload, std::size_t size)
     return crc32(payload, size, crc32(head, 12));
 }
 
-} // namespace
-
-const char *
-runModeName(RunMode mode)
-{
-    switch (mode) {
-      case RunMode::Sweep:
-        return "sweep";
-      case RunMode::Chaos:
-        return "chaos";
-    }
-    fatal("svc: unknown run mode %u", static_cast<unsigned>(mode));
-}
-
-const char *
-journalKindName(JournalKind kind)
-{
-    switch (kind) {
-      case JournalKind::Primary:
-        return "primary";
-      case JournalKind::Steal:
-        return "steal";
-    }
-    fatal("svc: unknown journal kind %u", static_cast<unsigned>(kind));
-}
-
+/** Serialize @p header into its fixed 64-byte form (CRC included). */
 std::vector<std::uint8_t>
 encodeJournalHeader(const JournalHeader &header)
 {
@@ -90,8 +63,7 @@ encodeJournalHeader(const JournalHeader &header)
     out.reserve(journalHeaderBytes);
     putU32(out, journalMagic);
     putU16(out, journalVersion);
-    out.push_back(static_cast<std::uint8_t>(header.mode));
-    out.push_back(static_cast<std::uint8_t>(header.kind));
+    putU16(out, 0);
     putU32(out, header.shardIndex);
     putU32(out, header.shardCount);
     putU32(out, header.gridPoints);
@@ -102,12 +74,16 @@ encodeJournalHeader(const JournalHeader &header)
     // what resume and merge actually authenticate against.
     std::strncpy(label, header.grid.c_str(), gridNameBytes - 1);
     out.insert(out.end(), label, label + gridNameBytes);
-    putU16(out, header.stealSlice);
-    putU16(out, header.stealSlices);
+    putU32(out, 0);
     putU32(out, crc32(out.data(), out.size()));
     return out;
 }
 
+/**
+ * Parse and validate the fixed header at @p data (journalHeaderBytes
+ * long). fatal() on bad magic, another format version, a CRC mismatch
+ * or an impossible shard; @p context names the file.
+ */
 JournalHeader
 decodeJournalHeader(const std::uint8_t *data, const char *context)
 {
@@ -124,16 +100,6 @@ decodeJournalHeader(const std::uint8_t *data, const char *context)
         fatal("svc: journal '%s' header CRC mismatch", context);
 
     JournalHeader header;
-    const std::uint8_t mode = data[6];
-    if (mode > static_cast<std::uint8_t>(RunMode::Chaos))
-        fatal("svc: journal '%s' has unknown run mode %u", context,
-              static_cast<unsigned>(mode));
-    header.mode = static_cast<RunMode>(mode);
-    const std::uint8_t kind = data[7];
-    if (kind > static_cast<std::uint8_t>(JournalKind::Steal))
-        fatal("svc: journal '%s' has unknown kind %u", context,
-              static_cast<unsigned>(kind));
-    header.kind = static_cast<JournalKind>(kind);
     header.shardIndex = getU32(data + 8);
     header.shardCount = getU32(data + 12);
     header.gridPoints = getU32(data + 16);
@@ -141,22 +107,13 @@ decodeJournalHeader(const std::uint8_t *data, const char *context)
     header.planFingerprint = getU64(data + 24);
     const char *label = reinterpret_cast<const char *>(data + 32);
     header.grid.assign(label, strnlen(label, gridNameBytes));
-    header.stealSlice = getU16(data + 56);
-    header.stealSlices = getU16(data + 58);
     if (header.shardCount == 0 || header.shardIndex >= header.shardCount)
         fatal("svc: journal '%s' claims shard %u of %u", context,
               header.shardIndex, header.shardCount);
-    if (header.kind == JournalKind::Primary &&
-        (header.stealSlice != 0 || header.stealSlices != 0))
-        fatal("svc: journal '%s' is primary but carries steal slice "
-              "%u/%u",
-              context, header.stealSlice, header.stealSlices);
-    if (header.kind == JournalKind::Steal &&
-        header.stealSlice >= header.stealSlices)
-        fatal("svc: journal '%s' claims steal slice %u of %u", context,
-              header.stealSlice, header.stealSlices);
     return header;
 }
+
+} // namespace
 
 bool
 journalExists(const std::string &path)
@@ -174,33 +131,27 @@ requireMatchingHeader(const JournalHeader &got, const JournalHeader &want,
 {
     if (got.planFingerprint != want.planFingerprint) {
         fatal("svc: journal '%s' belongs to plan %016llx, this plan is "
-              "%016llx (grid, scale, overrides, preset, or shard count "
-              "changed; remove stale journals or fix the flags)",
+              "%016llx (grid, scale, overrides, fault preset or shard "
+              "count differ; use a fresh journal directory or the "
+              "original flags)",
               path.c_str(),
               static_cast<unsigned long long>(got.planFingerprint),
               static_cast<unsigned long long>(want.planFingerprint));
     }
-    if (got.mode != want.mode || got.kind != want.kind ||
-        got.shardIndex != want.shardIndex ||
+    if (got.shardIndex != want.shardIndex ||
         got.shardCount != want.shardCount ||
         got.gridPoints != want.gridPoints ||
-        got.shardPoints != want.shardPoints ||
-        got.stealSlice != want.stealSlice ||
-        got.stealSlices != want.stealSlices) {
-        fatal("svc: journal '%s' header disagrees with the plan "
-              "(%s %s shard %u/%u, %u of %u points vs %s %s shard "
-              "%u/%u, %u of %u points)",
-              path.c_str(), journalKindName(got.kind),
-              runModeName(got.mode), got.shardIndex, got.shardCount,
-              got.shardPoints, got.gridPoints,
-              journalKindName(want.kind), runModeName(want.mode),
-              want.shardIndex, want.shardCount, want.shardPoints,
-              want.gridPoints);
+        got.shardPoints != want.shardPoints) {
+        fatal("svc: journal '%s' header disagrees with the plan (shard "
+              "%u/%u, %u of %u points vs shard %u/%u, %u of %u points)",
+              path.c_str(), got.shardIndex, got.shardCount,
+              got.shardPoints, got.gridPoints, want.shardIndex,
+              want.shardCount, want.shardPoints, want.gridPoints);
     }
 }
 
 JournalScan
-scanJournal(const std::string &path, ScanPolicy policy)
+scanJournal(const std::string &path)
 {
     const std::vector<std::uint8_t> data = readFile(path);
 
@@ -208,7 +159,6 @@ scanJournal(const std::string &path, ScanPolicy policy)
     if (data.size() < journalHeaderBytes) {
         // Killed between creation and the header flush: nothing was
         // recorded, so the caller simply recreates the journal.
-        scan.emptyFile = data.empty();
         scan.headerTorn = true;
         scan.tornBytes = data.size();
         return scan;
@@ -216,9 +166,7 @@ scanJournal(const std::string &path, ScanPolicy policy)
     scan.header = decodeJournalHeader(data.data(), path.c_str());
     scan.validBytes = journalHeaderBytes;
 
-    // Index -> position in scan.frames, for duplicate detection (and,
-    // under Lenient, in-place replacement by the later frame).
-    std::map<std::uint32_t, std::size_t> at;
+    std::set<std::uint32_t> seen;
     std::size_t pos = journalHeaderBytes;
     for (;;) {
         // Anything that does not parse as a complete, CRC-clean frame
@@ -251,73 +199,19 @@ scanJournal(const std::string &path, ScanPolicy policy)
                   path.c_str(), scan.header.shardIndex,
                   scan.header.shardCount, index);
         }
+        if (!seen.insert(index).second)
+            fatal("svc: journal '%s' records point %u twice",
+                  path.c_str(), index);
         JournalFrame frame;
         frame.index = index;
         frame.payload.assign(reinterpret_cast<const char *>(payload),
                              size);
-        const auto it = at.find(index);
-        if (it != at.end()) {
-            if (policy == ScanPolicy::Strict)
-                fatal("svc: journal '%s' records point %u twice",
-                      path.c_str(), index);
-            scan.frames[it->second] = std::move(frame);
-            scan.supersededFrames += 1;
-        } else {
-            at.emplace(index, scan.frames.size());
-            scan.frames.push_back(std::move(frame));
-        }
+        scan.frames.push_back(std::move(frame));
         pos += frameHeaderBytes + size;
         scan.validBytes = pos;
     }
     scan.tornBytes = data.size() - scan.validBytes;
     return scan;
-}
-
-CompactStats
-compactJournal(const std::string &path, const std::string &out_path)
-{
-    // Lenient: compaction is the designated repair path for a journal a
-    // strict reader refuses (in-file duplicates keep the last frame).
-    JournalScan scan = scanJournal(path, ScanPolicy::Lenient);
-    if (scan.headerTorn) {
-        fatal("svc: journal '%s' has no intact header; nothing to "
-              "compact (remove it and re-run instead)",
-              path.c_str());
-    }
-
-    CompactStats stats;
-    stats.frames = scan.frames.size();
-    stats.supersededFrames = scan.supersededFrames;
-    stats.tornBytes = scan.tornBytes;
-    stats.bytesBefore = scan.validBytes + scan.tornBytes;
-
-    // Ascending index order: the output is a canonical function of the
-    // surviving (index, payload) set, independent of completion order,
-    // so compacting equal coverage always yields identical bytes.
-    std::sort(scan.frames.begin(), scan.frames.end(),
-              [](const JournalFrame &a, const JournalFrame &b) {
-                  return a.index < b.index;
-              });
-
-    const std::string tmp = out_path + ".compact.tmp";
-    try {
-        JournalWriter writer = JournalWriter::create(tmp, scan.header);
-        for (const JournalFrame &frame : scan.frames)
-            writer.append(frame.index, frame.payload);
-        writer.close();
-    } catch (...) {
-        std::remove(tmp.c_str());
-        throw;
-    }
-    if (svcIo().rename(tmp.c_str(), out_path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        fatal("svc: cannot publish compacted journal '%s'",
-              out_path.c_str());
-    }
-    stats.bytesAfter = journalHeaderBytes;
-    for (const JournalFrame &frame : scan.frames)
-        stats.bytesAfter += frameHeaderBytes + frame.payload.size();
-    return stats;
 }
 
 JournalWriter::JournalWriter(std::string path_, std::FILE *file_)
@@ -344,8 +238,8 @@ JournalWriter::create(const std::string &path, const JournalHeader &header)
     if (file == nullptr)
         fatal("svc: cannot create journal '%s'", path.c_str());
     const std::vector<std::uint8_t> bytes = encodeJournalHeader(header);
-    if (svcIo().write(bytes.data(), bytes.size(), file) != bytes.size() ||
-        svcIo().flush(file) != 0) {
+    if (std::fwrite(bytes.data(), 1, bytes.size(), file) != bytes.size() ||
+        std::fflush(file) != 0) {
         std::fclose(file);
         fatal("svc: cannot write journal header to '%s'", path.c_str());
     }
@@ -382,8 +276,8 @@ JournalWriter::append(std::uint32_t index, const std::string &payload)
     bytes.insert(bytes.end(), payload.begin(), payload.end());
     // One write, one flush: the frame reaches the OS before the point
     // counts as checkpointed, so SIGKILL can only lose in-flight work.
-    if (svcIo().write(bytes.data(), bytes.size(), file) != bytes.size() ||
-        svcIo().flush(file) != 0)
+    if (std::fwrite(bytes.data(), 1, bytes.size(), file) != bytes.size() ||
+        std::fflush(file) != 0)
         fatal("svc: cannot append to journal '%s'", path.c_str());
 }
 

@@ -13,9 +13,9 @@
  * tail by its failed CRC or short length, and resume simply truncates
  * the garbage and re-runs the points that have no frame.
  *
- * Frame payloads are canonical JSON (exp::jobToJson /
- * exp::chaosPointToJson dumps), so the merge step can splice journaled
- * results into a document byte-identical to a single-process run's.
+ * Frame payloads are canonical JSON (exp::jobToJson dumps), so the
+ * merge step can splice journaled results into a document
+ * byte-identical to an uninterrupted run's.
  */
 
 #ifndef MCSIM_SVC_JOURNAL_HH
@@ -36,7 +36,7 @@ constexpr std::uint32_t journalMagic = 0x4A53434Du;
 constexpr std::uint32_t frameMagic = 0x464A434Du;
 
 /** Journal format version this build reads and writes. */
-constexpr std::uint16_t journalVersion = 1;
+constexpr std::uint16_t journalVersion = 2;
 
 /** Fixed size of the journal header, bytes. */
 constexpr std::size_t journalHeaderBytes = 64;
@@ -47,47 +47,14 @@ constexpr std::size_t frameHeaderBytes = 16;
 /** Upper bound on one frame's payload; caps reader buffering. */
 constexpr std::uint32_t maxFramePayload = 1u << 24;
 
-/** What a journal (and the plan that owns it) records per point. */
-enum class RunMode : std::uint8_t
-{
-    Sweep, ///< plain sweep: one exp::JobResult JSON per point
-    Chaos, ///< chaos harness: one exp::ChaosPointResult JSON per pair
-};
-
-const char *runModeName(RunMode mode);
-
-/**
- * What role a journal plays in its plan. A Primary journal is a
- * shard's own checkpoint file. A Steal journal covers one slice of a
- * revoked shard's remaining points, run by a healthy worker after the
- * victim lost its lease: its shardIndex field names the VICTIM shard
- * (so the index-ownership rule is unchanged), and stealSlice/stealSlices
- * say which slice of the victim's un-journaled remainder it holds.
- */
-enum class JournalKind : std::uint8_t
-{
-    Primary,
-    Steal,
-};
-
-const char *journalKindName(JournalKind kind);
-
 /** Decoded journal header: which shard of which plan this file is. */
 struct JournalHeader
 {
-    RunMode mode = RunMode::Sweep;
-    JournalKind kind = JournalKind::Primary;
     std::uint32_t shardIndex = 0;
     std::uint32_t shardCount = 1;
-    /** Points in the whole grid / in this journal when complete (for a
-     *  steal journal: the slice size, not the victim's shard size). @{ */
+    /** Points in the whole grid / in this journal when complete. @{ */
     std::uint32_t gridPoints = 0;
     std::uint32_t shardPoints = 0;
-    /** @} */
-    /** Steal journals only: slice number of how many slices the
-     *  victim's remainder was split into (both zero for Primary). @{ */
-    std::uint16_t stealSlice = 0;
-    std::uint16_t stealSlices = 0;
     /** @} */
     /** ShardPlan::fingerprint() of the owning plan: a journal can only
      *  be resumed or merged against the exact plan that wrote it. */
@@ -101,22 +68,8 @@ struct JournalFrame
 {
     /** Grid-global point index this result belongs to. */
     std::uint32_t index = 0;
-    /** Canonical JSON payload (jobToJson / chaosPointToJson dump). */
+    /** Canonical JSON payload (exp::jobToJson dump). */
     std::string payload;
-};
-
-/**
- * How a scan treats a repeated point index inside one file. Strict is
- * the operational default: the writer never re-runs a journaled point,
- * so an in-file duplicate is structural corruption and fatal. Lenient
- * is the repair mode used by journal compaction: the LAST frame for an
- * index wins and earlier ones are counted as superseded, so `compact`
- * can rewrite a journal a strict reader refuses.
- */
-enum class ScanPolicy
-{
-    Strict,
-    Lenient,
 };
 
 /** Everything a scan recovers from a journal file. */
@@ -124,35 +77,16 @@ struct JournalScan
 {
     JournalHeader header;
     /** Valid frames in append order (completion order, not grid order;
-     *  indices are unique -- a duplicate is structural corruption under
-     *  ScanPolicy::Strict; under Lenient the last frame won). */
+     *  indices are unique -- a duplicate is structural corruption). */
     std::vector<JournalFrame> frames;
     /** One past the last valid frame: where resume appends. */
     std::uint64_t validBytes = 0;
-    /** File exists but is zero bytes: created (or scheduled) and never
-     *  even a header was flushed. Implies headerTorn. */
-    bool emptyFile = false;
     /** File exists but is shorter than a header: the writer was killed
      *  during creation. Zero points are recorded; recreate it. */
     bool headerTorn = false;
     /** Bytes of torn tail discarded past validBytes (diagnostics). */
     std::uint64_t tornBytes = 0;
-    /** Lenient scans only: frames dropped because a later frame for the
-     *  same index superseded them. */
-    std::size_t supersededFrames = 0;
 };
-
-/** Serialize @p header into its fixed 64-byte form (CRC included). */
-std::vector<std::uint8_t> encodeJournalHeader(const JournalHeader &header);
-
-/**
- * Parse and validate the fixed header in @p data (at least
- * journalHeaderBytes, sliced by the caller). fatal() on bad magic,
- * unsupported version, or header CRC mismatch; @p context names the
- * file for the error message.
- */
-JournalHeader decodeJournalHeader(const std::uint8_t *data,
-                                  const char *context);
 
 /** True when @p path exists (journals live where the plan says). */
 bool journalExists(const std::string &path);
@@ -160,7 +94,7 @@ bool journalExists(const std::string &path);
 /**
  * fatal() unless @p got is the exact header the plan expects for this
  * shard (fingerprint first -- its mismatch message explains what to
- * do about stale journals). Shared by worker resume and merge.
+ * do about stale journals). Shared by resume and merge.
  */
 void requireMatchingHeader(const JournalHeader &got,
                            const JournalHeader &want,
@@ -170,35 +104,12 @@ void requireMatchingHeader(const JournalHeader &got,
  * Read and frame-check @p path: header, then every frame until the
  * first torn or corrupt one (which ends the valid region -- everything
  * after a bad frame is unreachable garbage by construction). fatal() on
- * an unreadable file, a corrupt full-size header, an out-of-range
- * index, or (under ScanPolicy::Strict) a duplicate index; a torn tail
- * is NOT fatal, it is the crash the journal exists to absorb.
+ * an unreadable file, a full-size header with bad magic, another
+ * format version or a CRC mismatch, an out-of-range or foreign index,
+ * or a duplicate index; a torn tail is NOT fatal, it is the crash the
+ * journal exists to absorb.
  */
-JournalScan scanJournal(const std::string &path,
-                        ScanPolicy policy = ScanPolicy::Strict);
-
-/** What compactJournal() did (sizes in bytes). */
-struct CompactStats
-{
-    std::size_t frames = 0;          ///< frames kept
-    std::size_t supersededFrames = 0;///< duplicate frames dropped
-    std::uint64_t tornBytes = 0;     ///< torn tail bytes dropped
-    std::uint64_t bytesBefore = 0;
-    std::uint64_t bytesAfter = 0;
-};
-
-/**
- * Compact the journal at @p path into @p out_path (which may equal
- * @p path for in-place compaction): keep only the LAST frame per point
- * index, re-framed and re-CRC'd in ascending index order, drop any torn
- * tail, and publish atomically (temp + rename), so a crash mid-compact
- * leaves the input untouched. The compacted journal scans clean under
- * ScanPolicy::Strict and merges byte-identically to the input. fatal()
- * on a missing/corrupt input, a torn header (nothing to keep), or any
- * I/O failure.
- */
-CompactStats compactJournal(const std::string &path,
-                            const std::string &out_path);
+JournalScan scanJournal(const std::string &path);
 
 /**
  * Appends checkpoint frames. Create truncates and writes a fresh

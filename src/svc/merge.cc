@@ -1,223 +1,45 @@
 #include "svc/merge.hh"
 
 #include <utility>
+#include <vector>
 
-#include "exp/chaos.hh"
-#include "exp/sweep.hh"
 #include "sim/logging.hh"
 
 namespace mcsim::svc
 {
 
-namespace
-{
-
-/** Parse one journaled payload; fatal() names the point on failure. */
-exp::Json
-parsePayload(const std::string &payload, const std::string &path,
-             std::uint32_t index)
-{
-    std::string error;
-    exp::Json doc = exp::Json::parse(payload, &error);
-    if (!error.empty())
-        fatal("svc: journal '%s' point %u payload is not JSON: %s",
-              path.c_str(), index, error.c_str());
-    return doc;
-}
-
-/**
- * Validate a steal journal's header against @p plan. shardPoints (the
- * slice size) is deliberately NOT checked here: recomputing it would
- * need the victim's frozen remainder, and the scan already enforces
- * that every frame is in range and victim-owned, which is what merge
- * correctness actually rests on.
- */
-void
-requireStealHeader(const JournalHeader &got, const ShardPlan &plan,
-                   const std::string &path)
-{
-    if (got.planFingerprint != plan.journalHeader(0).planFingerprint) {
-        fatal("svc: journal '%s' belongs to plan %016llx, this plan is "
-              "%016llx (grid, scale, overrides, preset, or shard count "
-              "changed; remove stale journals or fix the flags)",
-              path.c_str(),
-              static_cast<unsigned long long>(got.planFingerprint),
-              static_cast<unsigned long long>(
-                  plan.journalHeader(0).planFingerprint));
-    }
-    if (got.kind != JournalKind::Steal || got.mode != plan.mode ||
-        got.shardCount != plan.shardCount ||
-        got.gridPoints != plan.grid.points.size()) {
-        fatal("svc: journal '%s' header disagrees with the plan "
-              "(%s %s shard %u/%u)",
-              path.c_str(), journalKindName(got.kind),
-              runModeName(got.mode), got.shardIndex, got.shardCount);
-    }
-}
-
-} // namespace
-
 MergeResult
-mergeJournals(const ShardPlan &plan,
-              const std::vector<std::string> &journal_paths,
-              const MergeOptions &options)
+mergeJournals(const ShardPlan &plan, const std::string &dir)
 {
-    if (journal_paths.size() < plan.shardCount) {
-        fatal("svc: merge got %zu journal(s) for %u shard(s)",
-              journal_paths.size(), plan.shardCount);
-    }
-
     const std::size_t total = plan.grid.points.size();
     std::vector<std::string> payloads(total);
-    std::vector<bool> covered(total, false);
-    // Which file first covered each point, for duplicate diagnostics
-    // and accurate error attribution later.
-    std::vector<std::size_t> coveredBy(total, 0);
-
-    // A missing or header-torn file only matters if it leaves points
-    // uncovered: a revoked shard's primary may be dead (or never got
-    // past creation) while steal journals cover everything it owned.
-    // The first unusable file is remembered so an ACTUAL shortfall can
-    // name it instead of just the first uncovered point.
-    std::string unusable;
-
-    for (std::size_t file = 0; file < journal_paths.size(); ++file) {
-        const std::string &path = journal_paths[file];
-        const bool primary_slot = file < plan.shardCount;
-        if (!journalExists(path)) {
-            if (unusable.empty()) {
-                unusable = strprintf(
-                    "%s journal '%s' does not exist (did the %s ever "
-                    "run?)",
-                    primary_slot ? "shard" : "steal", path.c_str(),
-                    primary_slot ? "shard" : "steal worker");
-            }
-            continue;
-        }
-        const JournalScan scan = scanJournal(path);
-        if (scan.headerTorn) {
-            if (unusable.empty()) {
-                unusable = strprintf(
-                    "journal '%s' has a torn header (the worker died "
-                    "during creation; resume the run)",
-                    path.c_str());
-            }
-            continue;
-        }
-        if (primary_slot) {
-            requireMatchingHeader(
-                scan.header,
-                plan.journalHeader(static_cast<std::uint32_t>(file)),
-                path);
-        } else {
-            requireStealHeader(scan.header, plan, path);
-        }
-        // The scan guarantees in-range, owner-consistent, in-file
-        // unique indices. ACROSS files a point may legitimately appear
-        // twice (victim primary + steal journal both hold it after a
-        // revocation race) -- but only byte-identically: results are
-        // deterministic, so disagreement means corruption.
-        for (const JournalFrame &frame : scan.frames) {
-            if (covered[frame.index]) {
-                if (payloads[frame.index] != frame.payload) {
-                    fatal("svc: journals '%s' and '%s' disagree on "
-                          "point %u (results are deterministic; this "
-                          "is corruption or a foreign journal)",
-                          journal_paths[coveredBy[frame.index]].c_str(),
-                          path.c_str(), frame.index);
-                }
-                continue;
-            }
-            payloads[frame.index] = frame.payload;
-            covered[frame.index] = true;
-            coveredBy[frame.index] = file;
-        }
-    }
-
     MergeResult result;
-    for (std::size_t i = 0; i < total; ++i) {
-        if (covered[i])
+    for (std::uint32_t k = 0; k < plan.shardCount; ++k) {
+        const std::string path = plan.journalPath(dir, k);
+        if (!journalExists(path))
             continue;
-        if (!options.degraded) {
-            if (!unusable.empty())
-                fatal("svc: %s", unusable.c_str());
-            fatal("svc: no journal covers point %zu (%s); the plan is "
-                  "incomplete (resume the run, or merge --degraded to "
-                  "quarantine permanently failed points)",
-                  i, plan.grid.points[i].id().c_str());
-        }
-        result.quarantined.push_back(i);
+        JournalScan scan = scanJournal(path);
+        if (scan.headerTorn)
+            continue;
+        requireMatchingHeader(scan.header, plan.journalHeader(k), path);
+        // The scan guarantees in-range, shard-owned, in-file unique
+        // indices, and ownership is disjoint across shards, so every
+        // frame covers a distinct point.
+        for (JournalFrame &frame : scan.frames)
+            payloads[frame.index] = std::move(frame.payload);
+        result.coveredPoints += scan.frames.size();
     }
-    result.degraded = !result.quarantined.empty();
-    result.totalJobs = total - result.quarantined.size();
-
-    // The quarantine section: {index, id} per uncovered point, grid
-    // order. Only a degraded merge that actually quarantined something
-    // emits it, so a fully covered degraded merge stays byte-identical
-    // to a strict one.
-    exp::Json failed = exp::Json::array();
-    for (const std::size_t i : result.quarantined) {
-        exp::Json entry = exp::Json::object();
-        entry["index"] = exp::Json(static_cast<double>(i));
-        entry["id"] = exp::Json(plan.grid.points[i].id());
-        failed.push(std::move(entry));
-    }
-
-    if (plan.mode == RunMode::Sweep) {
-        // Splice the journaled canonical payloads, in grid order, into
-        // exactly the document SweepOutcomes::toJson() builds.
-        exp::Json jobs = exp::Json::array();
-        result.csv = exp::csvHeader();
-        for (std::size_t i = 0; i < total; ++i) {
-            if (!covered[i])
-                continue;
-            exp::Json job =
-                parsePayload(payloads[i], journal_paths[coveredBy[i]],
-                             static_cast<std::uint32_t>(i));
-            const exp::Json *status = job.find("status");
-            if (status == nullptr || !status->isString())
-                fatal("svc: point %zu payload lacks a status field", i);
-            if (status->asString() != "ok")
-                ++result.failedJobs;
-            result.csv += exp::csvRowFromJson(plan.grid.name, job);
-            jobs.push(std::move(job));
-        }
-        exp::Json grids = exp::Json::object();
-        grids[plan.grid.name] = std::move(jobs);
-        exp::Json doc = exp::Json::object();
-        doc["schema"] = exp::Json("mcsim-sweep-v1");
-        doc["grids"] = std::move(grids);
-        if (result.degraded)
-            doc["failed"] = std::move(failed);
-        result.document = std::move(doc);
+    if (result.coveredPoints != total)
         return result;
-    }
 
-    // Chaos: rebuild the report object and let ITS serialization and
-    // verdict logic speak, so the merged document and the exit status
-    // match a single-process `sweep_runner --chaos` run exactly.
-    exp::ChaosReport report;
-    report.grid = plan.grid.name;
-    report.preset = plan.preset;
-    report.points.reserve(result.totalJobs);
     for (std::size_t i = 0; i < total; ++i) {
-        if (!covered[i])
-            continue;
-        report.points.push_back(exp::chaosPointFromJson(
-            parsePayload(payloads[i], journal_paths[coveredBy[i]],
-                         static_cast<std::uint32_t>(i))));
+        std::string error;
+        exp::Json job = exp::Json::parse(payloads[i], &error);
+        if (!error.empty())
+            fatal("svc: journaled point %zu of grid '%s' is not JSON: %s",
+                  i, plan.grid.name.c_str(), error.c_str());
+        result.jobs.push(std::move(job));
     }
-    result.failedJobs = report.failures();
-    result.chaosOk = report.ok();
-    result.chaosSummary = report.summary();
-    exp::Json reports = exp::Json::array();
-    reports.push(report.toJson());
-    exp::Json doc = exp::Json::object();
-    doc["schema"] = exp::Json("mcsim-chaos-v1");
-    doc["reports"] = std::move(reports);
-    if (result.degraded)
-        doc["failed"] = std::move(failed);
-    result.document = std::move(doc);
     return result;
 }
 

@@ -1,32 +1,16 @@
 /**
  * @file
- * Journal merge: fold N shard journals into the canonical results
- * document (DESIGN.md section 15).
+ * Journal merge: fold a plan's shard journals into the canonical job
+ * array (DESIGN.md section 15).
  *
- * Byte-identity contract: the merged JSON (and CSV) for a plan is
- * byte-for-byte the document a single-process sweep_runner run over the
- * same grid emits, for ANY shard count and ANY worker thread count.
- * This works because journal frames store the canonical per-point JSON
- * (exp::jobToJson / exp::chaosPointToJson dumps), the canonical writer
- * is round-trip stable (parse then dump reproduces the bytes), and the
- * merge orders points strictly by grid-global index -- completion order
- * never leaks into the output.
- *
- * The merge refuses partial inputs loudly: a missing journal, a plan
- * mismatch, a torn header, or an uncovered point is fatal with the
- * first missing point named, never a silently shorter document. The
- * input is a journal SET -- the primaries in shard order plus any
- * number of steal journals -- and a point may appear in several files
- * (a victim's primary and a steal journal, say) as long as every copy
- * is byte-identical: results are deterministic functions of the
- * point-derived seeds, so disagreement is corruption, not racing.
- *
- * Degraded mode (MergeOptions::degraded) is the explicit escape hatch
- * for plans with permanently failed points: instead of refusing, it
- * quarantines every uncovered point into the document's "failed"
- * section ({index, id} records, grid order) and reports them in
- * MergeResult::quarantined so the caller can exit non-zero. A degraded
- * merge of a fully covered plan is byte-identical to a strict merge.
+ * Byte-identity contract: the document sweep_runner builds from the
+ * merged array is byte-for-byte the document a plain run over the same
+ * grid emits, for ANY shard count and ANY thread count. This works
+ * because journal frames store the canonical per-point JSON
+ * (exp::jobToJson dumps), the canonical writer is round-trip stable
+ * (parse then dump reproduces the bytes), and the merge orders points
+ * strictly by grid-global index -- completion order never leaks into
+ * the output.
  */
 
 #ifndef MCSIM_SVC_MERGE_HH
@@ -34,7 +18,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "exp/json.hh"
 #include "svc/shard.hh"
@@ -42,52 +25,24 @@
 namespace mcsim::svc
 {
 
-/** Merge knobs. */
-struct MergeOptions
-{
-    /**
-     * Tolerate missing or header-torn journals and uncovered points:
-     * quarantine every uncovered point into the document's "failed"
-     * section instead of fatal()ing. The operational contract is that
-     * callers exit 1 when MergeResult::degraded comes back true.
-     */
-    bool degraded = false;
-};
-
-/** The merged canonical outputs of one completed plan. */
+/** What the journals of one plan hold. */
 struct MergeResult
 {
-    /** "mcsim-sweep-v1" or "mcsim-chaos-v1", exactly as sweep_runner
-     *  would have written it (newline appended by the caller). */
-    exp::Json document;
-    /** Flat CSV, sweep mode only (exp::csvHeader + one row per job). */
-    std::string csv;
-
-    std::size_t totalJobs = 0;
-    std::size_t failedJobs = 0;
-
-    /** Chaos mode only: the rebuilt report's verdict and summary. @{ */
-    bool chaosOk = false;
-    std::string chaosSummary;
-    /** @} */
-
-    /** Grid-global indices quarantined by a degraded merge (empty for
-     *  a fully covered plan), in grid order. @{ */
-    std::vector<std::size_t> quarantined;
-    bool degraded = false;
-    /** @} */
+    /** Points with a frame, over every shard's journal. */
+    std::size_t coveredPoints = 0;
+    /** Once every point is covered: one exp::jobToJson element per
+     *  point, in grid order. Empty until then. */
+    exp::Json jobs = exp::Json::array();
 };
 
 /**
- * Merge a journal set of @p plan: the first plan.shardCount paths are
- * the primary journals in shard order, any further paths are steal
- * journals (their headers say which slice of which victim they hold).
- * fatal() on any missing, foreign, corrupt, or disagreeing journal, or
- * (unless options.degraded) on an uncovered point.
+ * Read all plan.shardCount journals of @p plan in @p dir. A missing
+ * journal or torn header covers nothing (its shard has not run, or is
+ * still starting); a journal still being written covers the frames it
+ * has flushed. fatal() on a plan mismatch, a corrupt journal, or a
+ * payload that is not JSON.
  */
-MergeResult mergeJournals(const ShardPlan &plan,
-                          const std::vector<std::string> &journal_paths,
-                          const MergeOptions &options = {});
+MergeResult mergeJournals(const ShardPlan &plan, const std::string &dir);
 
 } // namespace mcsim::svc
 

@@ -5,25 +5,33 @@
 
 #include <dirent.h>
 
-#include "core/machine_config.hh"
-#include "fault/fault_config.hh"
-#include "mem/cache.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 
 namespace mcsim::svc
 {
 
+namespace
+{
+
+/** Canonical journal file name of shard @p k of @p m. */
+std::string
+journalFileName(const std::string &grid, unsigned k, unsigned m)
+{
+    return strprintf("%s.s%03u-of-%03u.mcsj", grid.c_str(), k, m);
+}
+
+} // namespace
+
 std::uint64_t
 ShardPlan::fingerprint() const
 {
     // A canonical self-describing string, hashed: cheap, stable across
     // processes, and any change to what a shard would execute -- point
-    // set, order, seeds, mode, preset, partition width -- changes it.
+    // set, order, seeds, partition width -- changes it.
     std::string canon = strprintf(
-        "mcsim-svc-plan-v1|%s|%s|%s|%s|%u|%zu", runModeName(mode),
-        preset.c_str(), grid.name.c_str(), exp::scaleName(scale),
-        shardCount, grid.points.size());
+        "mcsim-sweep-plan-v2|%s|%s|%u|%zu", grid.name.c_str(),
+        exp::scaleName(scale), shardCount, grid.points.size());
     for (const exp::SweepPoint &point : grid.points) {
         canon += '|';
         canon += point.id();
@@ -32,162 +40,126 @@ ShardPlan::fingerprint() const
 }
 
 std::vector<std::size_t>
-ShardPlan::shardIndices(std::uint32_t shard) const
+ShardPlan::shardIndices(std::uint32_t k) const
 {
     std::vector<std::size_t> indices;
-    for (std::size_t i = shard; i < grid.points.size(); i += shardCount)
+    for (std::size_t i = k; i < grid.points.size(); i += shardCount)
         indices.push_back(i);
     return indices;
 }
 
-std::uint32_t
-ShardPlan::shardPoints(std::uint32_t shard) const
-{
-    const std::size_t total = grid.points.size();
-    return static_cast<std::uint32_t>(
-        total / shardCount + (total % shardCount > shard ? 1 : 0));
-}
-
 JournalHeader
-ShardPlan::journalHeader(std::uint32_t shard) const
+ShardPlan::journalHeader(std::uint32_t k) const
 {
     JournalHeader header;
-    header.mode = mode;
-    header.shardIndex = shard;
+    header.shardIndex = k;
     header.shardCount = shardCount;
     header.gridPoints = static_cast<std::uint32_t>(grid.points.size());
-    header.shardPoints = shardPoints(shard);
+    header.shardPoints = static_cast<std::uint32_t>(shardIndices(k).size());
     header.planFingerprint = fingerprint();
     header.grid = grid.name;
     return header;
 }
 
 std::string
-ShardPlan::journalFileName(std::uint32_t shard) const
+ShardPlan::journalPath(const std::string &dir, std::uint32_t k) const
 {
-    return strprintf("%s.s%03u-of-%03u.mcsj", grid.name.c_str(), shard,
-                     shardCount);
+    return dir + "/" + journalFileName(grid.name, k, shardCount);
 }
 
-std::string
-ShardPlan::journalPath(const std::string &dir, std::uint32_t shard) const
-{
-    return dir + "/" + journalFileName(shard);
-}
-
-JournalHeader
-ShardPlan::stealJournalHeader(std::uint32_t victim, std::uint16_t slice,
-                              std::uint16_t slices,
-                              std::uint32_t slice_points) const
-{
-    JournalHeader header = journalHeader(victim);
-    header.kind = JournalKind::Steal;
-    header.stealSlice = slice;
-    header.stealSlices = slices;
-    header.shardPoints = slice_points;
-    return header;
-}
-
-std::string
-ShardPlan::stealJournalFileName(std::uint32_t victim, std::uint16_t slice,
-                                std::uint16_t slices) const
-{
-    return strprintf("%s.s%03u-of-%03u.steal%02u-of-%02u.mcsj",
-                     grid.name.c_str(), victim, shardCount, slice,
-                     slices);
-}
-
-std::string
-ShardPlan::stealJournalPath(const std::string &dir, std::uint32_t victim,
-                            std::uint16_t slice,
-                            std::uint16_t slices) const
-{
-    return dir + "/" + stealJournalFileName(victim, slice, slices);
-}
-
-std::vector<std::string>
-findStealJournals(const ShardPlan &plan, const std::string &dir)
+void
+checkJournals(const ShardPlan &plan, const std::string &dir)
 {
     DIR *d = ::opendir(dir.c_str());
     if (d == nullptr)
-        return {};
+        return;
     std::vector<std::string> names;
     for (struct dirent *de = ::readdir(d); de != nullptr;
          de = ::readdir(d))
         names.emplace_back(de->d_name);
     ::closedir(d);
-    // Fixed-width canonical names sort exactly in (victim, slice)
-    // order, so a plain sort makes discovery order deterministic.
+    // Sorted, so the file named in the error does not depend on
+    // directory hash order.
     std::sort(names.begin(), names.end());
 
-    std::vector<std::string> out;
     const std::string prefix = plan.grid.name + ".s";
     for (const std::string &name : names) {
-        if (name.compare(0, prefix.size(), prefix) != 0)
+        // Only canonical journal names count, for any shard count (a
+        // different count changes the fingerprint); a stray file that
+        // merely shares the prefix is not ours to judge.
+        unsigned k = 0;
+        unsigned m = 0;
+        if (name.compare(0, prefix.size(), prefix) != 0 ||
+            std::sscanf(name.c_str() + prefix.size(), "%u-of-%u", &k,
+                        &m) != 2 ||
+            name != journalFileName(plan.grid.name, k, m))
             continue;
-        unsigned victim = 0, count = 0, slice = 0, slices = 0;
-        if (std::sscanf(name.c_str() + prefix.size(),
-                        "%3u-of-%3u.steal%2u-of-%2u.mcsj", &victim,
-                        &count, &slice, &slices) != 4)
-            continue;
-        // Round-trip through the canonical formatter: anything that is
-        // not byte-for-byte a steal journal of THIS plan shape (wrong
-        // shard count, stray suffix, zero-width fields) is ignored.
-        if (count != plan.shardCount || victim >= plan.shardCount ||
-            slices == 0 || slice >= slices)
-            continue;
-        if (name != plan.stealJournalFileName(
-                        victim, static_cast<std::uint16_t>(slice),
-                        static_cast<std::uint16_t>(slices)))
-            continue;
-        out.push_back(dir + "/" + name);
+        const std::string path = strprintf("%s/%s", dir.c_str(),
+                                           name.c_str());
+        const JournalScan scan = scanJournal(path);
+        if (!scan.headerTorn)
+            requireMatchingHeader(scan.header, plan.journalHeader(k), path);
     }
-    return out;
 }
 
-ShardPlan
-buildShardPlan(const PlanOptions &options)
+ShardRun
+runShard(const ShardPlan &plan, const std::string &dir,
+         const exp::SweepOptions &options)
 {
-    if (options.shards == 0)
-        fatal("svc: a plan needs at least one shard");
-    if (options.mode == RunMode::Chaos && options.preset.empty())
-        fatal("svc: chaos mode needs a fault preset");
-    if (!options.preset.empty())
-        (void)fault::faultPreset(options.preset); // name check, fatal()s
+    const std::string path = plan.journalPath(dir, plan.shard);
+    const JournalHeader want = plan.journalHeader(plan.shard);
 
-    ShardPlan plan;
-    plan.grid = exp::namedGrid(options.grid, options.scale);
-    plan.scale = options.scale;
-    plan.mode = options.mode;
-    plan.shardCount = options.shards;
-    if (options.mode == RunMode::Chaos)
-        plan.preset = options.preset;
-
-    for (exp::SweepPoint &point : plan.grid.points) {
-        if (options.procs)
-            point.numProcs = options.procs;
-        if (options.cacheBytes)
-            point.cacheBytes = options.cacheBytes;
-        if (options.lineBytes)
-            point.lineBytes = options.lineBytes;
-        if (options.mode == RunMode::Sweep && !options.preset.empty())
-            point.faultPreset = options.preset;
-        // sweep_runner's fail-fast discipline: dry-build the machine
-        // configuration so a bad geometry fails before any fork, named
-        // after its point, never mid-shard inside a worker process.
-        try {
-            const core::MachineConfig cfg = point.machineConfig();
-            cfg.validate();
-            mem::CacheParams cache;
-            cache.cacheBytes = cfg.cacheBytes;
-            cache.lineBytes = cfg.lineBytes;
-            cache.assoc = cfg.assoc;
-            cache.validate();
-        } catch (const FatalError &err) {
-            fatal("svc: point %s: %s", point.id().c_str(), err.what());
+    // Open-or-create: a valid journal is the resume state; a torn
+    // header (killed during creation) is recreated from scratch.
+    std::vector<bool> journaled(plan.grid.points.size(), false);
+    ShardRun run;
+    std::uint64_t valid_bytes = 0;
+    bool resuming = false;
+    if (journalExists(path)) {
+        const JournalScan scan = scanJournal(path);
+        if (!scan.headerTorn) {
+            requireMatchingHeader(scan.header, want, path);
+            for (const JournalFrame &frame : scan.frames)
+                journaled[frame.index] = true;
+            run.resumedPoints = scan.frames.size();
+            valid_bytes = scan.validBytes;
+            resuming = true;
+            if (options.progress && scan.tornBytes > 0) {
+                std::fprintf(stderr,
+                             "svc: dropping %llu torn byte(s) from "
+                             "'%s'\n",
+                             static_cast<unsigned long long>(
+                                 scan.tornBytes),
+                             path.c_str());
+            }
         }
     }
-    return plan;
+    JournalWriter writer = resuming
+                               ? JournalWriter::resume(path, valid_bytes)
+                               : JournalWriter::create(path, want);
+
+    std::vector<std::size_t> remaining;
+    for (const std::size_t index : plan.shardIndices(plan.shard))
+        if (!journaled[index])
+            remaining.push_back(index);
+    if (options.progress) {
+        std::fprintf(stderr, "svc: '%s': %zu journaled, %zu to run\n",
+                     path.c_str(), run.resumedPoints, remaining.size());
+    }
+
+    // The sink runs under the sweep engine's lock, so the plain
+    // counters need no synchronization of their own.
+    exp::SweepRunner(options).runIndices(
+        plan.grid, remaining,
+        [&](std::size_t index, const exp::JobResult &job) {
+            writer.append(static_cast<std::uint32_t>(index),
+                          exp::jobToJson(job).dump());
+            ++run.completedPoints;
+            if (!job.ok)
+                ++run.failedJobs;
+        });
+    writer.close();
+    return run;
 }
 
 } // namespace mcsim::svc

@@ -1,129 +1,95 @@
 /**
  * @file
- * Deterministic shard planner: partitions a named grid into
- * location-independent shards (DESIGN.md section 15).
+ * Shard plans: one shard of a journaled sweep, and running it with
+ * resume (DESIGN.md section 15).
  *
- * A plan is a pure function of its options -- grid name, scale,
- * geometry overrides, mode, preset, shard count -- so every
- * participant (coordinator, each worker, the merge step, a re-run on a
- * different machine) derives the identical point list, the identical
- * round-robin shard membership, and the identical plan fingerprint from
- * the CLI flags alone. Nothing about the partition depends on where or
- * when a shard runs; seeds stay the point-derived seeds the grid
- * builder assigned (sim/random.hh fnv1a + splitmix64 over the point
- * id), exactly as in a single-process sweep.
+ * A plan is a pure function of the grid sweep_runner built (overrides
+ * and fault preset applied, every point dry-built), the scale, and the
+ * K/M shard choice. Every shard process -- on this host or another, now
+ * or next week -- therefore derives the identical point list,
+ * round-robin membership and fingerprint from the CLI flags alone.
+ * Seeds stay the point-derived seeds exp::namedGrid assigned
+ * (sim/random.hh fnv1a + splitmix64 over the point id), so a point
+ * computes the same result in any shard of any plan.
  */
 
 #ifndef MCSIM_SVC_SHARD_HH
 #define MCSIM_SVC_SHARD_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "exp/grid.hh"
+#include "exp/sweep.hh"
 #include "svc/journal.hh"
 
 namespace mcsim::svc
 {
 
-/** Everything that determines a plan (the svc_runner CLI surface). */
-struct PlanOptions
-{
-    std::string grid = "quick";
-    exp::Scale scale = exp::Scale::Scaled;
-    std::uint32_t shards = 1;
-    RunMode mode = RunMode::Sweep;
-    /** Sweep mode: fault preset applied to every point (empty = perfect
-     *  hardware). Chaos mode: the harness preset (never empty). */
-    std::string preset;
-    /** Geometry overrides, 0 = keep the grid's values. @{ */
-    unsigned procs = 0;
-    unsigned cacheBytes = 0;
-    unsigned lineBytes = 0;
-    /** @} */
-};
-
-/** A fully built, validated partition of one grid. */
+/** Shard K of M of one grid. */
 struct ShardPlan
 {
-    /** The grid with all overrides applied (point ids are final). */
+    /** The grid exactly as a plain run would execute it. */
     exp::Grid grid;
     exp::Scale scale = exp::Scale::Scaled;
-    RunMode mode = RunMode::Sweep;
-    /** Chaos harness preset; empty in sweep mode (a sweep preset is
-     *  already inside each point and therefore inside each id). */
-    std::string preset;
+    /** This process's shard K, of shardCount M. @{ */
+    std::uint32_t shard = 0;
     std::uint32_t shardCount = 1;
+    /** @} */
 
     /**
-     * Identity of this plan: fnv1a over mode, preset, scale, shard
-     * count, and every final point id (ids encode benchmark, model,
-     * geometry, schedule, seed, and fault preset). Journals carry it,
-     * and resume/merge refuse any journal whose fingerprint differs.
+     * Identity of the plan: fnv1a over grid name, scale, shard count,
+     * and every point id (ids encode benchmark, model, geometry,
+     * schedule, seed and fault preset). K is left out, so all M shards
+     * share it. Journals carry it, and resume and merge refuse any
+     * journal whose fingerprint differs.
      */
     std::uint64_t fingerprint() const;
 
-    /** Grid-global indices owned by @p shard: round-robin, i.e. all i
-     *  with i %% shardCount == shard, in grid order. */
-    std::vector<std::size_t> shardIndices(std::uint32_t shard) const;
+    /** Grid-global indices owned by shard @p k: round-robin, i.e. all i
+     *  with i %% shardCount == k, in grid order. */
+    std::vector<std::size_t> shardIndices(std::uint32_t k) const;
 
-    std::uint32_t shardPoints(std::uint32_t shard) const;
+    /** The header every journal of shard @p k must carry. */
+    JournalHeader journalHeader(std::uint32_t k) const;
 
-    /** The header every journal of this plan must carry. */
-    JournalHeader journalHeader(std::uint32_t shard) const;
-
-    /** Canonical journal file name, e.g. "quick.s003-of-008.mcsj"
-     *  (fixed-width so a directory listing sorts in shard order). */
-    std::string journalFileName(std::uint32_t shard) const;
-
-    /** @p dir + "/" + journalFileName(shard). */
-    std::string journalPath(const std::string &dir,
-                            std::uint32_t shard) const;
-
-    /**
-     * Header for a steal journal covering slice @p slice of @p slices
-     * of @p victim's un-journaled remainder (the remainder is frozen by
-     * the coordinator when the victim's lease is revoked). shardIndex
-     * names the victim, so the scan's index-ownership rule is unchanged;
-     * shardPoints is the slice size @p slice_points.
-     */
-    JournalHeader stealJournalHeader(std::uint32_t victim,
-                                     std::uint16_t slice,
-                                     std::uint16_t slices,
-                                     std::uint32_t slice_points) const;
-
-    /** Canonical steal journal file name, e.g.
-     *  "quick.s003-of-008.steal00-of-02.mcsj". */
-    std::string stealJournalFileName(std::uint32_t victim,
-                                     std::uint16_t slice,
-                                     std::uint16_t slices) const;
-
-    /** @p dir + "/" + stealJournalFileName(...). */
-    std::string stealJournalPath(const std::string &dir,
-                                 std::uint32_t victim,
-                                 std::uint16_t slice,
-                                 std::uint16_t slices) const;
+    /** @p dir + "/<grid>.sKKK-of-MMM.mcsj" (fixed-width, so a directory
+     *  listing sorts in shard order). */
+    std::string journalPath(const std::string &dir, std::uint32_t k) const;
 };
 
 /**
- * Steal journal files of @p plan present in @p dir, as full paths in
- * sorted (victim, slice) order: the deterministic discovery path shared
- * by merge, `run --resume` and a restarted coordinator. Matches by the
- * canonical file-name shape only; headers are validated by whoever
- * opens the file.
+ * fatal() naming the first journal of @p plan's grid in @p dir, for any
+ * shard count, whose header fails requireMatchingHeader: one another
+ * plan wrote. A torn header passes (its shard was killed while creating
+ * it). Nothing is modified, so calling this before any job runs leaves
+ * a stale directory byte-unchanged.
  */
-std::vector<std::string> findStealJournals(const ShardPlan &plan,
-                                           const std::string &dir);
+void checkJournals(const ShardPlan &plan, const std::string &dir);
+
+/** What one runShard() call did. */
+struct ShardRun
+{
+    /** Points already journaled when the call started. */
+    std::size_t resumedPoints = 0;
+    /** Points run and journaled by this call. */
+    std::size_t completedPoints = 0;
+    /** Of those, jobs that failed (journaled like any other). */
+    std::size_t failedJobs = 0;
+};
 
 /**
- * Build and validate a plan: resolve the named grid, apply overrides,
- * dry-build every point's machine configuration (the sweep_runner
- * fail-fast discipline: a bad geometry fails here, named after its
- * point, before any process forks). fatal() on unknown grid or preset
- * names, zero shards, or invalid geometry.
+ * Run shard plan.shard on SweepRunner threads, appending one flushed
+ * frame per completed point to its journal in @p dir. The resume rule:
+ * a valid journal's points are skipped and its torn tail truncated; a
+ * missing journal or torn header starts a fresh one. fatal() on a plan
+ * mismatch, a corrupt journal, or any write failure (the frames
+ * already flushed stay valid for the next call).
  */
-ShardPlan buildShardPlan(const PlanOptions &options);
+ShardRun runShard(const ShardPlan &plan, const std::string &dir,
+                  const exp::SweepOptions &options);
 
 } // namespace mcsim::svc
 

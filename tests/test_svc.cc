@@ -1,37 +1,40 @@
 /**
  * @file
- * Suite for src/svc/: shard planning, checkpoint journals, crash/resume
- * determinism, and the byte-identical merge contract.
+ * Suite for src/svc/: shard plans, checkpoint journals, resume, and the
+ * byte-identical merge contract, in process and through the
+ * sweep_runner binary.
  *
- * The core property under test: for ANY shard count, ANY interruption
- * pattern (clean stops, torn tails, SIGKILLed worker processes), the
- * merged results document is byte-for-byte the document a single
- * uninterrupted SweepRunner run emits. Interruptions are driven by a
- * seeded Rng so failures replay exactly.
+ * The core property under test: for ANY shard count and ANY
+ * interruption (a journal cut at any byte, a SIGKILLed process, a write
+ * cut short by a file-size limit), the resumed run's document is
+ * byte-for-byte the document an uninterrupted plain run emits. Cut
+ * offsets come from a seeded Rng, so failures replay exactly.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
-#include "exp/chaos.hh"
 #include "exp/grid.hh"
 #include "exp/sweep.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "svc/atomic_file.hh"
-#include "svc/chaos_svc.hh"
 #include "svc/journal.hh"
 #include "svc/merge.hh"
 #include "svc/shard.hh"
-#include "svc/worker.hh"
+#include "trace/format.hh"
 
 namespace
 {
@@ -64,105 +67,116 @@ slurp(const std::string &path)
     return out;
 }
 
+/** Replace the contents of @p path with @p bytes. */
 void
-appendBytes(const std::string &path, const std::string &bytes)
+writeBytes(const std::string &path, const std::string &bytes)
 {
-    std::FILE *file = std::fopen(path.c_str(), "ab");
-    ASSERT_NE(file, nullptr);
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr) << path;
     std::fwrite(bytes.data(), 1, bytes.size(), file);
     std::fclose(file);
 }
 
 /**
- * A six-point slice of the quick grid: real workloads, real metrics,
- * small enough that several full runs stay cheap. Built directly (not
- * via buildShardPlan) so tests control the plan exactly.
+ * The mini grid: six of the quick grid's cheapest points (Relax and
+ * Psim under three models each), real workloads and real metrics at a
+ * fraction of a full quick run.
  */
+exp::Grid
+miniGrid()
+{
+    const exp::Grid quick = exp::namedGrid("quick", exp::Scale::Quick);
+    exp::Grid grid{"mini", {}};
+    for (const char *bench : {"Relax", "Psim"}) {
+        unsigned taken = 0;
+        for (const exp::SweepPoint &point : quick.points)
+            if (point.benchmark == bench && taken++ < 3)
+                grid.points.push_back(point);
+    }
+    return grid;
+}
+
 svc::ShardPlan
-miniPlan(std::uint32_t shards)
+miniPlan(std::uint32_t shards, std::uint32_t shard = 0)
 {
-    svc::ShardPlan plan;
-    plan.grid = exp::namedGrid("quick", exp::Scale::Quick);
-    plan.grid.points.resize(6);
-    plan.scale = exp::Scale::Quick;
-    plan.mode = svc::RunMode::Sweep;
-    plan.shardCount = shards;
-    return plan;
+    return {miniGrid(), exp::Scale::Quick, shard, shards};
 }
 
-/** Canonical single-process reference for a plan's grid. @{ */
-std::string
-referenceJson(const exp::Grid &grid)
+exp::SweepOptions
+quiet(unsigned threads = 1)
 {
-    exp::SweepOptions opts;
-    opts.threads = 1;
-    opts.progress = false;
-    exp::SweepOutcomes outcomes;
-    outcomes.add(grid, exp::SweepRunner(opts).run(grid));
-    return outcomes.toJson().dump();
+    exp::SweepOptions options;
+    options.threads = threads;
+    options.progress = false;
+    return options;
 }
 
-std::string
-referenceCsv(const exp::Grid &grid)
+/** The plain-run document for the mini grid, computed once per suite. */
+const exp::Json &
+referenceDoc()
 {
-    exp::SweepOptions opts;
-    opts.threads = 1;
-    opts.progress = false;
-    exp::SweepOutcomes outcomes;
-    outcomes.add(grid, exp::SweepRunner(opts).run(grid));
-    return outcomes.toCsv();
+    static const exp::Json doc = [] {
+        exp::SweepOutcomes outcomes;
+        outcomes.add(miniGrid(), exp::SweepRunner(quiet()).run(miniGrid()));
+        return outcomes.toJson();
+    }();
+    return doc;
 }
-/** @} */
+
+/** The document a journaled run builds from the journals in @p dir. */
+exp::Json
+mergedDoc(const svc::ShardPlan &plan, const std::string &dir)
+{
+    svc::MergeResult merged = svc::mergeJournals(plan, dir);
+    EXPECT_EQ(merged.coveredPoints, plan.grid.points.size());
+    return exp::sweepDocument({{plan.grid.name, std::move(merged.jobs)}});
+}
 
 TEST(SvcShard, RoundRobinPartitionCoversEveryPointOnce)
 {
-    svc::PlanOptions options;
-    options.grid = "quick";
-    options.scale = exp::Scale::Quick;
-    options.shards = 5;
-    const svc::ShardPlan plan = svc::buildShardPlan(options);
+    const svc::ShardPlan plan{exp::namedGrid("quick", exp::Scale::Quick),
+                              exp::Scale::Quick, 0, 5};
     ASSERT_EQ(plan.grid.points.size(), 28u);
 
     std::vector<unsigned> hits(plan.grid.points.size(), 0);
-    std::uint32_t total = 0;
-    for (std::uint32_t s = 0; s < plan.shardCount; ++s) {
-        const std::vector<std::size_t> indices = plan.shardIndices(s);
-        EXPECT_EQ(indices.size(), plan.shardPoints(s));
-        total += plan.shardPoints(s);
+    for (std::uint32_t k = 0; k < plan.shardCount; ++k) {
+        const std::vector<std::size_t> indices = plan.shardIndices(k);
+        EXPECT_EQ(indices.size(), plan.journalHeader(k).shardPoints);
         for (const std::size_t i : indices) {
             ASSERT_LT(i, hits.size());
             hits[i] += 1;
-            EXPECT_EQ(i % plan.shardCount, s);
+            EXPECT_EQ(i % plan.shardCount, k);
         }
     }
-    EXPECT_EQ(total, plan.grid.points.size());
     for (const unsigned h : hits)
         EXPECT_EQ(h, 1u);
 }
 
 TEST(SvcShard, FingerprintIsStableAndSensitive)
 {
-    svc::PlanOptions options;
-    options.grid = "quick";
-    options.scale = exp::Scale::Quick;
-    options.shards = 4;
-    const std::uint64_t base = svc::buildShardPlan(options).fingerprint();
-    // Pure function of the options: rebuild and match.
-    EXPECT_EQ(svc::buildShardPlan(options).fingerprint(), base);
+    const svc::ShardPlan base{exp::namedGrid("quick", exp::Scale::Quick),
+                              exp::Scale::Quick, 0, 4};
+    const std::uint64_t fp = base.fingerprint();
+    // A pure function of the plan, shared by all of its shards.
+    svc::ShardPlan other = base;
+    other.shard = 3;
+    EXPECT_EQ(other.fingerprint(), fp);
 
-    svc::PlanOptions other = options;
-    other.shards = 5;
-    EXPECT_NE(svc::buildShardPlan(other).fingerprint(), base);
-    other = options;
-    other.mode = svc::RunMode::Chaos;
-    other.preset = "light";
-    EXPECT_NE(svc::buildShardPlan(other).fingerprint(), base);
-    other = options;
-    other.preset = "light"; // sweep fault preset lands in point ids
-    EXPECT_NE(svc::buildShardPlan(other).fingerprint(), base);
-    other = options;
-    other.lineBytes = 32;
-    EXPECT_NE(svc::buildShardPlan(other).fingerprint(), base);
+    other = base;
+    other.shardCount = 5;
+    EXPECT_NE(other.fingerprint(), fp);
+    other = base;
+    other.scale = exp::Scale::Full;
+    EXPECT_NE(other.fingerprint(), fp);
+    other = base;
+    other.grid.name = "quick2";
+    EXPECT_NE(other.fingerprint(), fp);
+    other = base;
+    other.grid.points[7].lineBytes = 32; // geometry lands in the id
+    EXPECT_NE(other.fingerprint(), fp);
+    other = base;
+    other.grid.points[0].faultPreset = "light"; // so does a preset
+    EXPECT_NE(other.fingerprint(), fp);
 }
 
 TEST(SvcJournal, HeaderAndFramesRoundTrip)
@@ -171,7 +185,6 @@ TEST(SvcJournal, HeaderAndFramesRoundTrip)
     const std::string path = dir + "/round.mcsj";
 
     svc::JournalHeader header;
-    header.mode = svc::RunMode::Sweep;
     header.shardIndex = 1;
     header.shardCount = 3;
     header.gridPoints = 10;
@@ -190,7 +203,6 @@ TEST(SvcJournal, HeaderAndFramesRoundTrip)
     const svc::JournalScan scan = svc::scanJournal(path);
     EXPECT_FALSE(scan.headerTorn);
     EXPECT_EQ(scan.tornBytes, 0u);
-    EXPECT_EQ(scan.header.mode, svc::RunMode::Sweep);
     EXPECT_EQ(scan.header.shardIndex, 1u);
     EXPECT_EQ(scan.header.shardCount, 3u);
     EXPECT_EQ(scan.header.gridPoints, 10u);
@@ -234,6 +246,33 @@ TEST(SvcJournal, DuplicateAndForeignIndicesAreStructuralCorruption)
     EXPECT_THROW(svc::scanJournal(foreign), FatalError);
 }
 
+TEST(SvcJournal, OtherFormatVersionsAreRefused)
+{
+    // A journal of the previous format (version 1) has the same magic
+    // and a valid CRC; it must be refused, never spliced.
+    const std::string dir = makeTempDir();
+    const std::string path = dir + "/v1.mcsj";
+    svc::JournalHeader header;
+    header.gridPoints = 1;
+    header.shardPoints = 1;
+    svc::JournalWriter::create(path, header).close();
+    std::string head = slurp(path);
+    ASSERT_EQ(head.size(), svc::journalHeaderBytes);
+    head[4] = 1; // version, little-endian u16
+    head[5] = 0;
+    std::vector<std::uint8_t> bytes(head.begin(), head.end() - 4);
+    trace::putU32(bytes, trace::crc32(bytes.data(), bytes.size()));
+    writeBytes(path, std::string(bytes.begin(), bytes.end()));
+    try {
+        svc::scanJournal(path);
+        ADD_FAILURE() << "a version-1 journal was accepted";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("version 1"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(SvcJournal, TornTailsRecoverAtEveryCut)
 {
     const std::string dir = makeTempDir();
@@ -273,10 +312,7 @@ TEST(SvcJournal, TornTailsRecoverAtEveryCut)
     }
     for (const std::size_t cut : cuts) {
         const std::string torn_path = dir + "/torn.mcsj";
-        std::FILE *file = std::fopen(torn_path.c_str(), "wb");
-        ASSERT_NE(file, nullptr);
-        std::fwrite(full.data(), 1, cut, file);
-        std::fclose(file);
+        writeBytes(torn_path, full.substr(0, cut));
 
         const svc::JournalScan scan = svc::scanJournal(torn_path);
         EXPECT_FALSE(scan.headerTorn);
@@ -305,10 +341,7 @@ TEST(SvcJournal, TornTailsRecoverAtEveryCut)
     std::string flipped = full;
     flipped[flipped.size() - 2] ^= 0x40;
     const std::string flip_path = dir + "/flip.mcsj";
-    std::FILE *file = std::fopen(flip_path.c_str(), "wb");
-    ASSERT_NE(file, nullptr);
-    std::fwrite(flipped.data(), 1, flipped.size(), file);
-    std::fclose(file);
+    writeBytes(flip_path, flipped);
     const svc::JournalScan scan = svc::scanJournal(flip_path);
     EXPECT_EQ(scan.frames.size(), payloads.size() - 1);
     EXPECT_EQ(scan.validBytes, boundaries[payloads.size() - 1]);
@@ -316,164 +349,114 @@ TEST(SvcJournal, TornTailsRecoverAtEveryCut)
     // A file shorter than a header is a torn header: zero recorded
     // points, recreate.
     const std::string stub_path = dir + "/stub.mcsj";
-    file = std::fopen(stub_path.c_str(), "wb");
-    ASSERT_NE(file, nullptr);
-    std::fwrite(full.data(), 1, 17, file);
-    std::fclose(file);
+    writeBytes(stub_path, full.substr(0, 17));
     const svc::JournalScan stub = svc::scanJournal(stub_path);
     EXPECT_TRUE(stub.headerTorn);
     EXPECT_TRUE(stub.frames.empty());
 }
 
-TEST(SvcWorker, SeededInterruptionsResumeToByteIdenticalMerge)
+TEST(SvcResume, SeededCutsResumeToByteIdenticalMerge)
 {
-    const svc::ShardPlan plan = miniPlan(2);
-    const std::string ref_json = referenceJson(plan.grid);
-    const std::string ref_csv = referenceCsv(plan.grid);
-
+    // Run both shards of a 2-shard plan, then cut shard 0's journal at
+    // seeded offsets and at the header boundaries (64, 63, 1 and 0
+    // bytes) -- a kill at that byte -- or corrupt its last frame. Each
+    // resume must skip exactly the frames that survived, re-run exactly
+    // the rest, and merge byte-identical to the plain run.
+    const std::string ref = referenceDoc().dump();
     const std::string dir = makeTempDir();
-    const std::vector<std::string> paths = {plan.journalPath(dir, 0),
-                                            plan.journalPath(dir, 1)};
+    const svc::ShardPlan plan = miniPlan(2, 0);
+    const svc::ShardPlan sibling = miniPlan(2, 1);
+    ASSERT_EQ(svc::runShard(sibling, dir, quiet()).completedPoints, 3u);
+    const svc::ShardRun first = svc::runShard(plan, dir, quiet());
+    EXPECT_EQ(first.resumedPoints, 0u);
+    EXPECT_EQ(first.completedPoints, 3u);
+    EXPECT_EQ(first.failedJobs, 0u);
+    EXPECT_EQ(mergedDoc(plan, dir).dump(), ref);
 
-    // Drive both shards with seeded random stop points, garbage torn
-    // tails injected between attempts, until both journals complete.
-    Rng rng(987654321);
-    std::array<bool, 2> done = {false, false};
-    unsigned attempts = 0;
-    unsigned interrupted = 0;
-    while ((!done[0] || !done[1]) && attempts < 64) {
-        ++attempts;
-        const std::uint32_t shard =
-            done[0] ? 1u
-                    : (done[1] ? 0u
-                               : static_cast<std::uint32_t>(rng.below(2)));
-        svc::WorkerOptions options;
-        options.threads = 1;
-        options.progress = false;
-        // Stop after 1 or 2 new points so every attempt is interrupted.
-        options.stopAfter = static_cast<std::size_t>(1 + rng.below(2));
-        const svc::WorkerResult result =
-            svc::runShardWorker(plan, shard, paths[shard], options);
-        done[shard] = result.done;
-        interrupted += result.stopped ? 1 : 0;
-        if (!result.done && rng.below(3) == 0) {
-            // Simulate a kill mid-frame-write: garbage on the tail.
-            appendBytes(paths[shard], "\x13garbage-torn-tail");
-        }
+    const std::string path = plan.journalPath(dir, 0);
+    const std::string full = slurp(path);
+    std::vector<std::size_t> boundaries = {svc::journalHeaderBytes};
+    for (const svc::JournalFrame &frame : svc::scanJournal(path).frames)
+        boundaries.push_back(boundaries.back() + svc::frameHeaderBytes +
+                             frame.payload.size());
+    ASSERT_EQ(boundaries.back(), full.size());
+
+    Rng rng(20261017);
+    std::vector<std::size_t> cuts = {svc::journalHeaderBytes,
+                                     svc::journalHeaderBytes - 1, 1, 0};
+    for (int i = 0; i < 4; ++i)
+        cuts.push_back(rng.below(full.size()));
+    for (const std::size_t cut : cuts) {
+        writeBytes(path, full.substr(0, cut));
+        std::size_t kept = 0;
+        while (kept + 1 < boundaries.size() && boundaries[kept + 1] <= cut)
+            ++kept;
+        const svc::ShardRun run = svc::runShard(plan, dir, quiet());
+        EXPECT_EQ(run.resumedPoints, kept) << "cut=" << cut;
+        EXPECT_EQ(run.completedPoints, 3u - kept) << "cut=" << cut;
+        EXPECT_EQ(mergedDoc(plan, dir).dump(), ref) << "cut=" << cut;
     }
-    ASSERT_TRUE(done[0] && done[1]);
-    EXPECT_GT(interrupted, 0u) << "the schedule never interrupted";
 
-    const svc::MergeResult merged = svc::mergeJournals(plan, paths);
-    EXPECT_EQ(merged.document.dump(), ref_json);
-    EXPECT_EQ(merged.csv, ref_csv);
-    EXPECT_EQ(merged.totalJobs, plan.grid.points.size());
-    EXPECT_EQ(merged.failedJobs, 0u);
+    // A flipped byte in the last frame's stored CRC (frame offset 12)
+    // drops exactly that frame; resume re-runs exactly that point.
+    std::string flipped = full;
+    flipped[boundaries[2] + 12] ^= 0x01;
+    writeBytes(path, flipped);
+    const svc::ShardRun repaired = svc::runShard(plan, dir, quiet());
+    EXPECT_EQ(repaired.resumedPoints, 2u);
+    EXPECT_EQ(repaired.completedPoints, 1u);
+    EXPECT_EQ(mergedDoc(plan, dir).dump(), ref);
 
-    // Finishing again is idempotent: a no-op attempt, same merge.
-    svc::WorkerOptions options;
-    options.threads = 1;
-    options.progress = false;
-    const svc::WorkerResult again =
-        svc::runShardWorker(plan, 0, paths[0], options);
-    EXPECT_TRUE(again.done);
+    // Finishing again is an idempotent no-op.
+    const svc::ShardRun again = svc::runShard(plan, dir, quiet());
+    EXPECT_EQ(again.resumedPoints, 3u);
     EXPECT_EQ(again.completedPoints, 0u);
-    EXPECT_EQ(svc::mergeJournals(plan, paths).document.dump(), ref_json);
 }
 
-TEST(SvcWorker, MergeIsIdenticalAcrossShardCounts)
+TEST(SvcMerge, IdenticalAcrossShardAndThreadCounts)
 {
-    const std::string ref_json = referenceJson(miniPlan(1).grid);
+    const std::string ref_json = referenceDoc().dump();
+    const std::string ref_csv = exp::documentCsv(referenceDoc());
     for (const std::uint32_t shards : {1u, 3u, 6u}) {
-        const svc::ShardPlan plan = miniPlan(shards);
         const std::string dir = makeTempDir();
-        std::vector<std::string> paths;
-        for (std::uint32_t s = 0; s < shards; ++s) {
-            paths.push_back(plan.journalPath(dir, s));
-            svc::WorkerOptions options;
-            options.threads = 1;
-            options.progress = false;
-            const svc::WorkerResult result =
-                svc::runShardWorker(plan, s, paths.back(), options);
-            EXPECT_TRUE(result.done);
+        for (std::uint32_t k = 0; k < shards; ++k) {
+            const svc::ShardRun run = svc::runShard(
+                miniPlan(shards, k), dir, quiet(shards == 1 ? 3 : 1));
+            EXPECT_EQ(run.completedPoints, 6u / shards);
         }
-        EXPECT_EQ(svc::mergeJournals(plan, paths).document.dump(),
-                  ref_json)
-            << shards << " shard(s)";
+        const exp::Json doc = mergedDoc(miniPlan(shards), dir);
+        EXPECT_EQ(doc.dump(), ref_json) << shards << " shard(s)";
+        EXPECT_EQ(exp::documentCsv(doc), ref_csv) << shards << " shard(s)";
     }
 }
 
-TEST(SvcMerge, RefusesIncompleteForeignAndMissingJournals)
+TEST(SvcMerge, IncompleteCoverageAndForeignJournals)
 {
-    const svc::ShardPlan plan = miniPlan(2);
     const std::string dir = makeTempDir();
-    const std::vector<std::string> paths = {plan.journalPath(dir, 0),
-                                            plan.journalPath(dir, 1)};
+    const svc::ShardPlan plan = miniPlan(2, 1);
 
-    // Missing journals.
-    EXPECT_THROW(svc::mergeJournals(plan, paths), FatalError);
-    // Wrong path count.
-    EXPECT_THROW(svc::mergeJournals(plan, {paths[0]}), FatalError);
+    // Nothing journaled, then one of two shards: coverage is counted,
+    // and no job array is built until every point is covered.
+    svc::MergeResult merged = svc::mergeJournals(plan, dir);
+    EXPECT_EQ(merged.coveredPoints, 0u);
+    ASSERT_EQ(svc::runShard(plan, dir, quiet()).completedPoints, 3u);
+    merged = svc::mergeJournals(plan, dir);
+    EXPECT_EQ(merged.coveredPoints, 3u);
+    EXPECT_EQ(merged.jobs.size(), 0u);
+    EXPECT_NO_THROW(svc::checkJournals(plan, dir));
 
-    // Shard 0 incomplete (stopped after one point), shard 1 complete.
-    svc::WorkerOptions stop_one;
-    stop_one.threads = 1;
-    stop_one.progress = false;
-    stop_one.stopAfter = 1;
-    EXPECT_FALSE(svc::runShardWorker(plan, 0, paths[0], stop_one).done);
-    svc::WorkerOptions to_end;
-    to_end.threads = 1;
-    to_end.progress = false;
-    EXPECT_TRUE(svc::runShardWorker(plan, 1, paths[1], to_end).done);
-    EXPECT_THROW(svc::mergeJournals(plan, paths), FatalError);
-
-    // A journal from a DIFFERENT plan (other shard count) is refused by
-    // fingerprint, both by merge and by a resuming worker.
-    const svc::ShardPlan other = miniPlan(3);
-    EXPECT_THROW(svc::mergeJournals(other, {paths[0], paths[1],
-                                            other.journalPath(dir, 2)}),
-                 FatalError);
-    EXPECT_THROW(svc::runShardWorker(other, 0, paths[0], to_end),
-                 FatalError);
-}
-
-TEST(SvcChaos, ShardedChaosMergesByteIdentical)
-{
-    // Two-point chaos plan: enough to exercise the chaos journal path
-    // while staying cheap (each point is a baseline + faulted pair).
-    svc::ShardPlan plan;
-    plan.grid = exp::namedGrid("quick", exp::Scale::Quick);
-    plan.grid.points.resize(2);
-    plan.scale = exp::Scale::Quick;
-    plan.mode = svc::RunMode::Chaos;
-    plan.preset = "light";
-    plan.shardCount = 2;
-
-    exp::ChaosOptions chaos_opts;
-    chaos_opts.preset = "light";
-    chaos_opts.threads = 1;
-    chaos_opts.progress = false;
-    const exp::ChaosReport report = exp::runChaos(plan.grid, chaos_opts);
-    exp::Json reports = exp::Json::array();
-    reports.push(report.toJson());
-    exp::Json ref = exp::Json::object();
-    ref["schema"] = exp::Json("mcsim-chaos-v1");
-    ref["reports"] = std::move(reports);
-
-    const std::string dir = makeTempDir();
-    std::vector<std::string> paths;
-    for (std::uint32_t s = 0; s < plan.shardCount; ++s) {
-        paths.push_back(plan.journalPath(dir, s));
-        svc::WorkerOptions options;
-        options.threads = 1;
-        options.progress = false;
-        EXPECT_TRUE(
-            svc::runShardWorker(plan, s, paths.back(), options).done);
-    }
-    const svc::MergeResult merged = svc::mergeJournals(plan, paths);
-    EXPECT_EQ(merged.document.dump(), ref.dump());
-    EXPECT_EQ(merged.chaosOk, report.ok());
-    EXPECT_EQ(merged.chaosSummary, report.summary());
+    // Another shard count, or another point set under the same file
+    // name, is refused before anything runs, and the journal is left
+    // byte-unchanged.
+    const std::string path = plan.journalPath(dir, 1);
+    const std::string before = slurp(path);
+    EXPECT_THROW(svc::checkJournals(miniPlan(3), dir), FatalError);
+    svc::ShardPlan other = miniPlan(2, 1);
+    other.grid.points[1].cacheBytes *= 2;
+    EXPECT_THROW(svc::checkJournals(other, dir), FatalError);
+    EXPECT_THROW(svc::runShard(other, dir, quiet()), FatalError);
+    EXPECT_THROW(svc::mergeJournals(other, dir), FatalError);
+    EXPECT_EQ(slurp(path), before);
 }
 
 TEST(SvcAtomicFile, WritesWholeFilesAndLeavesNoTemp)
@@ -499,470 +482,189 @@ TEST(SvcAtomicFile, WritesWholeFilesAndLeavesNoTemp)
     EXPECT_THROW(svc::ensureDirectory(nested + "/doc.json"), FatalError);
 }
 
-/** Run a shell command; return its exit status (-1 on popen failure). */
-int
-runCommand(const std::string &cmd)
+/** How a spawned sweep_runner ended, and what it said on stderr. */
+struct Spawned
 {
-    FILE *pipe = popen((cmd + " 2>&1 >/dev/null").c_str(), "r");
-    if (pipe == nullptr)
-        return -1;
-    std::array<char, 4096> buf;
-    while (std::fread(buf.data(), 1, buf.size(), pipe) > 0) {
+    int status = 0;
+    std::string stderrText;
+    std::size_t progressLines = 0;
+};
+
+/**
+ * Run the sweep_runner binary with @p args, stdout discarded and
+ * stderr captured. With @p kill_after > 0 it is SIGKILLed as soon as
+ * that many progress lines ("[n/N] ...") have appeared. With
+ * @p fsize_limit > 0 it runs under RLIMIT_FSIZE with SIGXFSZ ignored,
+ * so a write past the limit comes up short instead of killing it.
+ */
+Spawned
+spawnSweep(const std::vector<std::string> &args, std::size_t kill_after = 0,
+           rlim_t fsize_limit = 0)
+{
+    const std::string bin = MCSIM_SWEEP_BIN;
+    std::vector<char *> argv;
+    argv.push_back(const_cast<char *>(bin.c_str()));
+    for (const std::string &arg : args)
+        argv.push_back(const_cast<char *>(arg.c_str()));
+    argv.push_back(nullptr);
+
+    Spawned result;
+    int fds[2];
+    if (::pipe(fds) != 0) {
+        ADD_FAILURE() << "pipe failed";
+        return result;
     }
-    const int status = pclose(pipe);
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::dup2(fds[1], 2);
+        ::close(fds[0]);
+        ::close(fds[1]);
+        const int devnull = ::open("/dev/null", O_WRONLY);
+        ::dup2(devnull, 1);
+        if (fsize_limit > 0) {
+            std::signal(SIGXFSZ, SIG_IGN);
+            const struct rlimit limit = {fsize_limit, fsize_limit};
+            ::setrlimit(RLIMIT_FSIZE, &limit);
+        }
+        ::execv(bin.c_str(), argv.data());
+        ::_exit(127);
+    }
+    ::close(fds[1]);
+    std::FILE *in = ::fdopen(fds[0], "r");
+    char *line = nullptr;
+    std::size_t cap = 0;
+    while (::getline(&line, &cap, in) > 0) {
+        result.stderrText += line;
+        if (line[0] == '[' && ++result.progressLines == kill_after)
+            ::kill(pid, SIGKILL);
+    }
+    std::free(line);
+    std::fclose(in);
+    ::waitpid(pid, &result.status, 0);
+    return result;
 }
 
-TEST(SvcKillGate, SigkilledWorkersResumeToByteIdenticalQuickGrid)
+bool
+exitedWith(const Spawned &run, int code)
 {
-    // The real-SIGKILL gate, end to end at the binary level: phase one
-    // kills every worker after 4 fresh points with relaunching disabled
-    // (exit 1, journals kept); phase two resumes and must converge to
-    // exit 0 with output byte-identical to an uninterrupted
-    // single-process run of the quick grid.
-    const std::string dir = makeTempDir();
-    const std::string bin = MCSIM_SVC_BIN;
-    const std::string plan_flags =
-        " --grid quick --shards 3 --threads 1 --no-progress --dir " + dir;
-
-    const int phase1 = runCommand(bin + " run" + plan_flags +
-                                  " --kill-after 4 --max-retries 0");
-    EXPECT_EQ(phase1, 1);
-    for (unsigned s = 0; s < 3; ++s) {
-        EXPECT_TRUE(svc::journalExists(
-            dir + strprintf("/quick.s%03u-of-003.mcsj", s)));
-    }
-
-    const std::string out = dir + "/merged.json";
-    const int phase2 =
-        runCommand(bin + " run" + plan_flags + " --resume --out " + out);
-    EXPECT_EQ(phase2, 0);
-
-    const exp::Grid grid = exp::namedGrid("quick", exp::Scale::Quick);
-    EXPECT_EQ(slurp(out), referenceJson(grid) + "\n");
+    return WIFEXITED(run.status) && WEXITSTATUS(run.status) == code;
 }
 
-/** Truncate @p path to @p size bytes in place. */
+/** A plain (unjournaled) quick-grid run's CSV, computed once per suite. */
+const std::string &
+plainQuickCsv()
+{
+    static const std::string csv = [] {
+        const std::string dir = makeTempDir();
+        const Spawned run = spawnSweep({"--grid", "quick", "--no-progress",
+                                        "--out", "", "--csv",
+                                        dir + "/plain.csv"});
+        EXPECT_TRUE(exitedWith(run, 0)) << run.stderrText;
+        return slurp(dir + "/plain.csv");
+    }();
+    return csv;
+}
+
+/** Resume the quick grid from @p journal at 4 threads; its JSON must be
+ *  the committed golden and its CSV a plain run's. */
 void
-truncateFile(const std::string &path, std::size_t size)
+expectResumeMatchesPlainRun(const std::string &dir,
+                            const std::string &journal)
 {
-    const std::string data = slurp(path).substr(0, size);
-    std::FILE *file = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(file, nullptr);
-    std::fwrite(data.data(), 1, data.size(), file);
-    std::fclose(file);
+    const Spawned resumed = spawnSweep(
+        {"--grid", "quick", "--journal", journal, "--threads", "4",
+         "--no-progress", "--out", dir + "/quick.json", "--csv",
+         dir + "/quick.csv"});
+    EXPECT_TRUE(exitedWith(resumed, 0)) << resumed.stderrText;
+    EXPECT_EQ(slurp(dir + "/quick.json"),
+              slurp(std::string(MCSIM_GOLDEN_DIR) + "/quick.json"));
+    EXPECT_EQ(slurp(dir + "/quick.csv"), plainQuickCsv());
 }
 
-/** Indices with a valid frame in @p path (empty if header torn). */
-std::vector<std::size_t>
-journaledIndices(const std::string &path)
+TEST(SvcBinary, SigkilledRunResumesToTheGolden)
 {
-    std::vector<std::size_t> got;
+    // The real-SIGKILL gate: the sink appends and flushes each frame
+    // before its progress line prints, so a kill after 4 lines leaves
+    // at least 4 frames, and the resumed run must still produce the
+    // plain run's bytes.
+    const std::string dir = makeTempDir();
+    const std::string journal = dir + "/J";
+    const Spawned killed =
+        spawnSweep({"--grid", "quick", "--journal", journal, "--threads",
+                    "1", "--out", dir + "/quick.json"},
+                   4);
+    ASSERT_TRUE(WIFSIGNALED(killed.status)) << killed.stderrText;
+    EXPECT_EQ(WTERMSIG(killed.status), SIGKILL);
+    const std::size_t frames =
+        svc::scanJournal(journal + "/quick.s000-of-001.mcsj").frames.size();
+    EXPECT_GE(frames, 4u);
+    EXPECT_LT(frames, 28u);
+
+    expectResumeMatchesPlainRun(dir, journal);
+}
+
+TEST(SvcBinary, ShortJournalWriteFailsCleanlyAndResumes)
+{
+    // A file-size limit of a few KB cuts a frame write short: one line
+    // naming the journal, exit 1 (never an abort), the flushed frames
+    // kept, and an unlimited resume producing the plain run's bytes.
+    const std::string dir = makeTempDir();
+    const std::string journal = dir + "/J";
+    const std::string path = journal + "/quick.s000-of-001.mcsj";
+    const Spawned failed =
+        spawnSweep({"--grid", "quick", "--journal", journal,
+                    "--no-progress", "--out", ""},
+                   0, 5 * 1024);
+    EXPECT_TRUE(exitedWith(failed, 1)) << failed.stderrText;
+    const std::string want =
+        "sweep_runner: svc: cannot append to journal '" + path + "'\n";
+    EXPECT_NE(failed.stderrText.find(want), std::string::npos)
+        << failed.stderrText;
+    EXPECT_EQ(std::count(failed.stderrText.begin(),
+                         failed.stderrText.end(), '\n'),
+              2)
+        << failed.stderrText; // the grid banner and the error
     const svc::JournalScan scan = svc::scanJournal(path);
-    if (scan.headerTorn)
-        return got;
-    for (const svc::JournalFrame &frame : scan.frames)
-        got.push_back(frame.index);
-    return got;
+    EXPECT_LT(scan.frames.size(), 28u);
+
+    expectResumeMatchesPlainRun(dir, journal);
 }
 
-TEST(SvcJournal, HeaderBoundaryTearsLoseExactlyTheUnflushedPoints)
+TEST(SvcBinary, ForeignJournalsAreRefusedBeforeAnyJob)
 {
-    // The satellite cases around the 64-byte header boundary: a cut AT
-    // the boundary keeps the header and zero frames; a cut INSIDE the
-    // header (and the zero-length file) is a torn header that a real
-    // worker recreates from scratch. In every case the resumed worker
-    // must re-run exactly the lost points and merge byte-identical.
-    const svc::ShardPlan plan = miniPlan(2);
-    const std::string ref_json = referenceJson(plan.grid);
-    const std::string dir = makeTempDir();
-    const std::vector<std::string> paths = {plan.journalPath(dir, 0),
-                                            plan.journalPath(dir, 1)};
-    svc::WorkerOptions run_all;
-    run_all.threads = 1;
-    run_all.progress = false;
-    ASSERT_TRUE(svc::runShardWorker(plan, 1, paths[1], run_all).done);
-    ASSERT_TRUE(svc::runShardWorker(plan, 0, paths[0], run_all).done);
-    const std::vector<std::size_t> shard0 = plan.shardIndices(0);
-
-    struct Cut
+    // A journal of another plan -- another shard count, or another
+    // geometry under the same file name -- is exit 2 with one line
+    // naming it, before any job runs, and stays byte-unchanged.
+    const exp::Grid quick = exp::namedGrid("quick", exp::Scale::Quick);
+    struct Case
     {
-        std::size_t size;
-        bool torn_header;
-        bool empty_file;
+        svc::ShardPlan writer;
+        std::vector<std::string> flags;
     };
-    const std::vector<Cut> cuts = {
-        {svc::journalHeaderBytes, false, false}, // exact boundary
-        {svc::journalHeaderBytes - 1, true, false}, // inside header
-        {1, true, false},
-        {0, true, true}, // zero-length: created, never written
+    const std::vector<Case> cases = {
+        {{quick, exp::Scale::Scaled, 0, 2}, {"--shard", "0/3"}},
+        {{quick, exp::Scale::Scaled, 0, 1}, {"--procs", "4"}},
     };
-    for (const Cut &cut : cuts) {
-        truncateFile(paths[0], cut.size);
-        const svc::JournalScan scan = svc::scanJournal(paths[0]);
-        EXPECT_EQ(scan.headerTorn, cut.torn_header) << cut.size;
-        EXPECT_EQ(scan.emptyFile, cut.empty_file) << cut.size;
-        EXPECT_TRUE(scan.frames.empty()) << cut.size;
+    for (const Case &c : cases) {
+        const std::string dir = makeTempDir();
+        const std::string path = c.writer.journalPath(dir, 0);
+        svc::JournalWriter::create(path, c.writer.journalHeader(0)).close();
+        const std::string before = slurp(path);
 
-        // All points were lost; the resumed worker re-runs all of them.
-        const svc::WorkerResult result =
-            svc::runShardWorker(plan, 0, paths[0], run_all);
-        EXPECT_TRUE(result.done);
-        EXPECT_EQ(result.resumedPoints, 0u) << cut.size;
-        EXPECT_EQ(result.completedPoints, shard0.size()) << cut.size;
-        EXPECT_EQ(svc::mergeJournals(plan, paths).document.dump(),
-                  ref_json)
-            << cut.size;
+        std::vector<std::string> args = {"--grid", "quick", "--journal",
+                                         dir, "--out", ""};
+        args.insert(args.end(), c.flags.begin(), c.flags.end());
+        const Spawned run = spawnSweep(args);
+        EXPECT_TRUE(exitedWith(run, 2)) << run.stderrText;
+        EXPECT_EQ(std::count(run.stderrText.begin(), run.stderrText.end(),
+                             '\n'),
+                  1)
+            << run.stderrText;
+        EXPECT_NE(run.stderrText.find(path), std::string::npos)
+            << run.stderrText;
+        EXPECT_EQ(slurp(path), before);
+        EXPECT_FALSE(svc::journalExists(dir + "/quick.s000-of-003.mcsj"));
     }
-}
-
-TEST(SvcJournal, CrcByteFlipDropsExactlyThatFrameAndResumeRestoresIt)
-{
-    // Corrupt one byte of the LAST frame's stored CRC (frame header
-    // offset 12): the scan must drop exactly that frame, the resumed
-    // worker must re-run exactly that point, and the merge must come
-    // back byte-identical.
-    const svc::ShardPlan plan = miniPlan(2);
-    const std::string ref_json = referenceJson(plan.grid);
-    const std::string dir = makeTempDir();
-    const std::vector<std::string> paths = {plan.journalPath(dir, 0),
-                                            plan.journalPath(dir, 1)};
-    svc::WorkerOptions run_all;
-    run_all.threads = 1;
-    run_all.progress = false;
-    ASSERT_TRUE(svc::runShardWorker(plan, 0, paths[0], run_all).done);
-    ASSERT_TRUE(svc::runShardWorker(plan, 1, paths[1], run_all).done);
-
-    const svc::JournalScan before = svc::scanJournal(paths[0]);
-    ASSERT_GE(before.frames.size(), 2u);
-    const std::size_t last = before.frames.size() - 1;
-    const std::uint32_t lost_index = before.frames[last].index;
-    // Start of the last frame = end of the one before it.
-    std::size_t frame_start = svc::journalHeaderBytes;
-    for (std::size_t i = 0; i < last; ++i)
-        frame_start +=
-            svc::frameHeaderBytes + before.frames[i].payload.size();
-
-    std::string data = slurp(paths[0]);
-    data[frame_start + 12] ^= 0x01; // stored CRC, low byte
-    std::FILE *file = std::fopen(paths[0].c_str(), "wb");
-    ASSERT_NE(file, nullptr);
-    std::fwrite(data.data(), 1, data.size(), file);
-    std::fclose(file);
-
-    const svc::JournalScan scan = svc::scanJournal(paths[0]);
-    ASSERT_EQ(scan.frames.size(), before.frames.size() - 1);
-    for (std::size_t i = 0; i + 1 < before.frames.size(); ++i)
-        EXPECT_EQ(scan.frames[i].index, before.frames[i].index);
-    EXPECT_EQ(scan.validBytes, frame_start);
-
-    const svc::WorkerResult result =
-        svc::runShardWorker(plan, 0, paths[0], run_all);
-    EXPECT_TRUE(result.done);
-    EXPECT_EQ(result.resumedPoints, before.frames.size() - 1);
-    EXPECT_EQ(result.completedPoints, 1u);
-    const std::vector<std::size_t> now = journaledIndices(paths[0]);
-    EXPECT_EQ(std::count(now.begin(), now.end(), lost_index), 1);
-    EXPECT_EQ(svc::mergeJournals(plan, paths).document.dump(), ref_json);
-}
-
-TEST(SvcJournal, CompactIsCanonicalIdempotentAndRepairsDuplicates)
-{
-    const svc::ShardPlan plan = miniPlan(2);
-    const std::string ref_json = referenceJson(plan.grid);
-    const std::string dir = makeTempDir();
-    const std::vector<std::string> paths = {plan.journalPath(dir, 0),
-                                            plan.journalPath(dir, 1)};
-    svc::WorkerOptions run_all;
-    run_all.threads = 1;
-    run_all.progress = false;
-    ASSERT_TRUE(svc::runShardWorker(plan, 0, paths[0], run_all).done);
-    ASSERT_TRUE(svc::runShardWorker(plan, 1, paths[1], run_all).done);
-
-    // A torn tail compacts away; merge bytes are untouched.
-    appendBytes(paths[0], "\x7fmid-write garbage");
-    const svc::CompactStats stats =
-        svc::compactJournal(paths[0], paths[0]);
-    EXPECT_GT(stats.tornBytes, 0u);
-    EXPECT_EQ(stats.supersededFrames, 0u);
-    EXPECT_EQ(svc::scanJournal(paths[0]).tornBytes, 0u);
-    EXPECT_EQ(svc::mergeJournals(plan, paths).document.dump(), ref_json);
-
-    // Idempotent: compacting a compacted journal is a byte no-op,
-    // whether in place or to a separate output.
-    const std::string once = slurp(paths[0]);
-    svc::compactJournal(paths[0], paths[0]);
-    EXPECT_EQ(slurp(paths[0]), once);
-    const std::string copy = dir + "/copy.mcsj";
-    svc::compactJournal(paths[0], copy);
-    EXPECT_EQ(slurp(copy), once);
-    EXPECT_EQ(slurp(paths[0]), once);
-
-    // An in-file duplicate index (a resume replaying an append after a
-    // lost truncate) is fatal corruption under the operational Strict
-    // policy; the Lenient scan keeps the LAST frame, and compaction
-    // repairs the journal back to strict-clean with that payload.
-    const svc::JournalScan base = svc::scanJournal(paths[1]);
-    const std::uint32_t dup = base.frames.front().index;
-    {
-        svc::JournalWriter writer =
-            svc::JournalWriter::resume(paths[1], base.validBytes);
-        writer.append(dup, base.frames.front().payload);
-        writer.close();
-    }
-    EXPECT_THROW(svc::scanJournal(paths[1]), FatalError);
-    const svc::JournalScan lenient =
-        svc::scanJournal(paths[1], svc::ScanPolicy::Lenient);
-    EXPECT_EQ(lenient.supersededFrames, 1u);
-    EXPECT_EQ(lenient.frames.size(), base.frames.size());
-    const svc::CompactStats repair =
-        svc::compactJournal(paths[1], paths[1]);
-    EXPECT_EQ(repair.supersededFrames, 1u);
-    EXPECT_EQ(repair.frames, base.frames.size());
-    EXPECT_EQ(svc::scanJournal(paths[1]).frames.size(),
-              base.frames.size());
-    EXPECT_EQ(svc::mergeJournals(plan, paths).document.dump(), ref_json);
-}
-
-TEST(SvcWorker, StealSlicesPartitionTheRemainderAndMergeByteIdentical)
-{
-    const svc::ShardPlan plan = miniPlan(2);
-    const std::string ref_json = referenceJson(plan.grid);
-    const std::string ref_csv = referenceCsv(plan.grid);
-    const std::string dir = makeTempDir();
-    const std::vector<std::string> primaries = {
-        plan.journalPath(dir, 0), plan.journalPath(dir, 1)};
-
-    // Shard 1 completes; shard 0 journals one point and "dies".
-    svc::WorkerOptions run_all;
-    run_all.threads = 1;
-    run_all.progress = false;
-    ASSERT_TRUE(svc::runShardWorker(plan, 1, primaries[1], run_all).done);
-    svc::WorkerOptions stop_one = run_all;
-    stop_one.stopAfter = 1;
-    ASSERT_FALSE(
-        svc::runShardWorker(plan, 0, primaries[0], stop_one).done);
-
-    // Slice membership: the slices partition the frozen remainder
-    // (victim's points minus the journaled one), round-robin, exactly.
-    const std::vector<std::size_t> journaled =
-        journaledIndices(primaries[0]);
-    ASSERT_EQ(journaled.size(), 1u);
-    std::vector<std::size_t> remainder;
-    for (const std::size_t index : plan.shardIndices(0))
-        if (index != journaled[0])
-            remainder.push_back(index);
-    const std::vector<std::size_t> slice0 =
-        svc::stealSliceMembers(plan, 0, 0, 2, primaries[0]);
-    const std::vector<std::size_t> slice1 =
-        svc::stealSliceMembers(plan, 0, 1, 2, primaries[0]);
-    std::vector<std::size_t> joined;
-    for (std::size_t i = 0; i < remainder.size(); ++i)
-        joined.push_back(i % 2 == 0 ? slice0[i / 2] : slice1[i / 2]);
-    EXPECT_EQ(joined, remainder);
-    EXPECT_EQ(slice0.size() + slice1.size(), remainder.size());
-    // More slices than remainder points: the excess slices are empty.
-    EXPECT_TRUE(
-        svc::stealSliceMembers(
-            plan, 0, static_cast<std::uint16_t>(remainder.size()), 8,
-            primaries[0])
-            .empty());
-
-    // Steal workers run the slices into their own journals; the merge
-    // over primaries + steals is byte-identical to the reference.
-    std::vector<std::string> paths = primaries;
-    for (std::uint16_t k = 0; k < 2; ++k) {
-        const std::string steal_path =
-            plan.stealJournalPath(dir, 0, k, 2);
-        const svc::WorkerResult result = svc::runStealWorker(
-            plan, 0, k, 2, primaries[0], steal_path, run_all);
-        EXPECT_TRUE(result.done);
-        paths.push_back(steal_path);
-    }
-    EXPECT_EQ(svc::findStealJournals(plan, dir).size(), 2u);
-    const svc::MergeResult merged = svc::mergeJournals(plan, paths);
-    EXPECT_EQ(merged.document.dump(), ref_json);
-    EXPECT_EQ(merged.csv, ref_csv);
-
-    // Cross-file duplicates are tolerated when byte-identical: finish
-    // the victim's primary too (it now covers the stolen points as
-    // well) and the merge must not change.
-    ASSERT_TRUE(svc::runShardWorker(plan, 0, primaries[0], run_all).done);
-    EXPECT_EQ(svc::mergeJournals(plan, paths).document.dump(), ref_json);
-
-    // A cross-file DISAGREEMENT is corruption: a forged steal journal
-    // claiming a different payload for a covered point is fatal.
-    const std::string forged = plan.stealJournalPath(dir, 0, 2, 3);
-    {
-        svc::JournalWriter writer = svc::JournalWriter::create(
-            forged, plan.stealJournalHeader(0, 2, 3, 1));
-        writer.append(static_cast<std::uint32_t>(remainder[0]),
-                      "{\"forged\":true}");
-        writer.close();
-    }
-    std::vector<std::string> with_forged = paths;
-    with_forged.push_back(forged);
-    EXPECT_THROW(svc::mergeJournals(plan, with_forged), FatalError);
-}
-
-TEST(SvcMerge, DegradedMergeQuarantinesExactlyTheUncovered)
-{
-    const svc::ShardPlan plan = miniPlan(2);
-    const std::string ref_json = referenceJson(plan.grid);
-    const std::string dir = makeTempDir();
-    const std::vector<std::string> paths = {plan.journalPath(dir, 0),
-                                            plan.journalPath(dir, 1)};
-
-    svc::WorkerOptions run_all;
-    run_all.threads = 1;
-    run_all.progress = false;
-    svc::WorkerOptions stop_one = run_all;
-    stop_one.stopAfter = 1;
-    ASSERT_FALSE(svc::runShardWorker(plan, 0, paths[0], stop_one).done);
-    ASSERT_TRUE(svc::runShardWorker(plan, 1, paths[1], run_all).done);
-
-    // Strict refuses; degraded quarantines exactly the uncovered set.
-    EXPECT_THROW(svc::mergeJournals(plan, paths), FatalError);
-    std::vector<std::size_t> uncovered;
-    const std::vector<std::size_t> got = journaledIndices(paths[0]);
-    for (const std::size_t index : plan.shardIndices(0))
-        if (std::count(got.begin(), got.end(), index) == 0)
-            uncovered.push_back(index);
-    ASSERT_FALSE(uncovered.empty());
-
-    svc::MergeOptions degraded;
-    degraded.degraded = true;
-    const svc::MergeResult merged =
-        svc::mergeJournals(plan, paths, degraded);
-    EXPECT_TRUE(merged.degraded);
-    EXPECT_EQ(merged.quarantined, uncovered);
-    EXPECT_EQ(merged.totalJobs,
-              plan.grid.points.size() - uncovered.size());
-
-    // The document's failed section names them, index and id, in grid
-    // order.
-    const exp::Json *failed = merged.document.find("failed");
-    ASSERT_NE(failed, nullptr);
-    ASSERT_EQ(failed->size(), uncovered.size());
-    for (std::size_t i = 0; i < uncovered.size(); ++i) {
-        const exp::Json &entry = failed->at(i);
-        ASSERT_NE(entry.find("index"), nullptr);
-        ASSERT_NE(entry.find("id"), nullptr);
-        EXPECT_EQ(entry.find("index")->asNumber(),
-                  static_cast<double>(uncovered[i]));
-        EXPECT_EQ(entry.find("id")->asString(),
-                  plan.grid.points[uncovered[i]].id());
-    }
-
-    // Fully covered, a degraded merge is byte-identical to a strict
-    // one: the failed section only exists when something was lost.
-    ASSERT_TRUE(svc::runShardWorker(plan, 0, paths[0], run_all).done);
-    const svc::MergeResult full =
-        svc::mergeJournals(plan, paths, degraded);
-    EXPECT_FALSE(full.degraded);
-    EXPECT_EQ(full.document.find("failed"), nullptr);
-    EXPECT_EQ(full.document.dump(), ref_json);
-    EXPECT_EQ(full.document.dump(),
-              svc::mergeJournals(plan, paths).document.dump());
-}
-
-TEST(SvcChaosSvc, SeededFaultHistoriesMergeByteIdentical)
-{
-    // The tentpole invariant, in process: randomized (but seeded)
-    // kill/stall/tear/io-fault/coordinator-crash histories against the
-    // mini plan, with immediate steal escalation, must converge with
-    // nothing quarantined and merge byte-identical to the fault-free
-    // reference every round.
-    const svc::ShardPlan plan = miniPlan(2);
-    const std::string dir = makeTempDir();
-    svc::SvcChaosConfig config;
-    config.seed = 20260808;
-    config.rounds = 3;
-    config.preset = "heavy";
-    config.maxRetries = 0; // first barren attempt escalates to steal
-    config.progress = false;
-    const svc::SvcChaosReport report =
-        svc::runSvcChaos(plan, dir, config);
-    ASSERT_EQ(report.rounds.size(), config.rounds);
-    std::size_t faults = 0;
-    for (const svc::SvcChaosRound &round : report.rounds) {
-        EXPECT_TRUE(round.ok) << "round " << round.round << ": "
-                              << round.error;
-        EXPECT_TRUE(round.identical);
-        EXPECT_TRUE(round.compactIdentical);
-        EXPECT_TRUE(round.quarantined.empty());
-        faults += round.kills + round.stalls + round.tears +
-                  round.ioFaults + round.coordCrashes;
-    }
-    EXPECT_TRUE(report.ok());
-    EXPECT_GT(faults, 0u) << "the heavy preset injected nothing";
-
-    // The report serializes; the schema tag is pinned.
-    const exp::Json doc = report.toJson();
-    ASSERT_NE(doc.find("schema"), nullptr);
-    EXPECT_EQ(doc.find("schema")->asString(), "mcsim-svc-chaos-v1");
-    ASSERT_NE(doc.find("ok"), nullptr);
-    EXPECT_TRUE(doc.find("ok")->asBool());
-}
-
-TEST(SvcChaosSvc, PoisonedPointsAreQuarantinedExactly)
-{
-    // Poisoned points crash every worker that attempts them: blame
-    // tracking must quarantine EXACTLY the poisoned set, and the
-    // degraded merge must still be byte-identical to a reference that
-    // skipped them.
-    const svc::ShardPlan plan = miniPlan(2);
-    const std::string dir = makeTempDir();
-    svc::SvcChaosConfig config;
-    config.seed = 7;
-    config.rounds = 2;
-    config.preset = "light";
-    config.poison = {1, 4};
-    config.progress = false;
-    const svc::SvcChaosReport report =
-        svc::runSvcChaos(plan, dir, config);
-    EXPECT_TRUE(report.ok());
-    for (const svc::SvcChaosRound &round : report.rounds) {
-        EXPECT_TRUE(round.ok) << round.error;
-        EXPECT_EQ(round.quarantined,
-                  (std::vector<std::size_t>{1, 4}));
-        EXPECT_TRUE(round.identical);
-    }
-
-    // An out-of-range poison index is a configuration error.
-    svc::SvcChaosConfig bad = config;
-    bad.poison = {999};
-    EXPECT_THROW(svc::runSvcChaos(plan, dir, bad), FatalError);
-    EXPECT_THROW(svc::svcChaosPreset("bogus"), FatalError);
-}
-
-TEST(SvcLeaseGate, StalledWorkersAreRevokedAndStolenToConvergence)
-{
-    // The lease/steal gate at the binary level: every primary worker
-    // stalls forever after 8 journaled points (a stuck process, not a
-    // dead one). Lease supervision must revoke them, barren relaunches
-    // must exhaust retries, and steal slices (3 points each, under the
-    // stall threshold) must finish the remainders -- exit 0, output
-    // byte-identical to the single-process reference.
-    const std::string dir = makeTempDir();
-    const std::string bin = MCSIM_SVC_BIN;
-    const std::string out = dir + "/merged.json";
-    const int status = runCommand(
-        bin + " run --grid quick --shards 2 --threads 2 --no-progress" +
-        " --dir " + dir + " --lease-ms 4000 --poll-ms 100" +
-        " --stall-at 8 --max-retries 1 --steal-fanout 2 --out " + out);
-    EXPECT_EQ(status, 0);
-
-    // The steal journals are on disk and discoverable.
-    svc::PlanOptions plan_options;
-    plan_options.grid = "quick";
-    plan_options.scale = exp::Scale::Quick;
-    plan_options.shards = 2;
-    const svc::ShardPlan plan = svc::buildShardPlan(plan_options);
-    EXPECT_FALSE(svc::findStealJournals(plan, dir).empty());
-
-    const exp::Grid grid = exp::namedGrid("quick", exp::Scale::Quick);
-    EXPECT_EQ(slurp(out), referenceJson(grid) + "\n");
 }
 
 } // namespace
