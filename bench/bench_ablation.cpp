@@ -18,6 +18,7 @@
 
 #include "bench_common.hh"
 
+#include "exp/report.hh"
 #include "workloads/gauss.hh"
 #include "workloads/synthetic.hh"
 
@@ -43,7 +44,7 @@ main(int argc, char **argv)
 
     std::printf("Ablation studies (Gauss, 16 procs, %s caches, 16B "
                 "lines)\n",
-                cacheLabel(args, false));
+                exp::cacheLabel(args.scale, false).c_str());
     printHeaderRule();
 
     // 1. MSHR count under WO1.

@@ -1,11 +1,11 @@
 /**
  * @file
- * Shared support for the table/figure reproduction benches, rebased on
- * the parallel sweep engine (src/exp/): each bench builds its named
- * grid, fans it across worker threads, then prints the paper's rows
- * from the result lookup. The config loops that used to be copy-pasted
- * into every bench live in exp::namedGrid() now, shared with the
- * tools/sweep_runner CLI and the golden-baseline tests.
+ * Single-run helpers shared by bench_ablation and bench_micro: the
+ * paper's baseline machine and its benchmarks at a chosen scale, for
+ * runs that vary machine parameters (MSHR count, buffer depth, switch
+ * radix, model overrides) the declarative grids deliberately do not
+ * span. The paper's tables and figures are sweep grids instead,
+ * printed by `sweep_runner --grid NAME` (src/exp/report.hh).
  *
  * Scaling (DESIGN.md / EXPERIMENTS.md): problem sizes and cache sizes
  * shrink together so every benchmark stays in the same fits/doesn't-fit
@@ -19,26 +19,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/metrics.hh"
 #include "exp/grid.hh"
-#include "exp/sweep.hh"
+#include "workloads/workload.hh"
 
 namespace mcsim::bench
 {
 
-/** Benchmark identifiers in the paper's presentation order. */
-inline const std::vector<std::string> &benchmarkNames =
-    exp::benchmarkNames();
-
-/** Common bench command line: [--full] [--threads N] [--no-progress]. */
+/** Bench command line: [--full]. */
 struct BenchArgs
 {
     exp::Scale scale = exp::Scale::Scaled;
-    unsigned threads = 0;  ///< 0 = hardware concurrency
-    bool progress = true;
 };
 
 inline BenchArgs
@@ -48,15 +42,8 @@ parseBenchArgs(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--full")) {
             args.scale = exp::Scale::Full;
-        } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-            args.threads = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (!std::strcmp(argv[i], "--no-progress")) {
-            args.progress = false;
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--full] [--threads N] "
-                         "[--no-progress]\n",
-                         argv[0]);
+            std::fprintf(stderr, "usage: %s [--full]\n", argv[0]);
             std::exit(2);
         }
     }
@@ -69,31 +56,6 @@ isFull(const BenchArgs &args)
     return args.scale == exp::Scale::Full;
 }
 
-inline const char *
-cacheLabel(const BenchArgs &args, bool large)
-{
-    if (isFull(args))
-        return large ? "64K" : "16K";
-    return large ? "32K (64K-eq)" : "8K (16K-eq)";
-}
-
-/** Run the named grid in parallel and wrap the results for lookup. */
-inline exp::SweepOutcomes
-runNamedGrid(const std::string &name, const BenchArgs &args)
-{
-    const exp::Grid grid = exp::namedGrid(name, args.scale);
-    exp::SweepOptions opts;
-    opts.threads = args.threads;
-    opts.progress = args.progress;
-    return exp::runGrid(grid, opts);
-}
-
-/**
- * Single-run helpers for the ablation bench, which varies machine
- * parameters (MSHR count, buffer depth, switch radix, model overrides)
- * that the declarative grids deliberately do not span. @{
- */
-
 /** Baseline paper machine (16 processors, 4x4 switches). */
 inline core::MachineConfig
 baseConfig(const BenchArgs &args, unsigned procs = 16)
@@ -103,7 +65,7 @@ baseConfig(const BenchArgs &args, unsigned procs = 16)
     cfg.numModules = procs;
     cfg.cacheBytes = exp::smallCache(args.scale);
     cfg.lineBytes = 16;
-    // Figure benches report timings; invariant checking stays off here
+    // Ablation timings are reported; invariant checking stays off here
     // (tests and bench_micro run with it on).
     cfg.check.mode = check::CheckMode::Off;
     return cfg;
@@ -111,14 +73,11 @@ baseConfig(const BenchArgs &args, unsigned procs = 16)
 
 /** Build one of the paper's benchmarks at the chosen scale. */
 inline std::unique_ptr<workloads::Workload>
-makeWorkload(const std::string &name, exp::Scale scale,
-             workloads::RelaxSchedule schedule =
-                 workloads::RelaxSchedule::Default)
+makeWorkload(const std::string &name, exp::Scale scale)
 {
     exp::SweepPoint point;
     point.benchmark = name;
     point.scale = scale;
-    point.schedule = schedule;
     return point.makeWorkload();
 }
 
@@ -130,11 +89,6 @@ run(const std::string &name, const core::MachineConfig &cfg,
     auto w = makeWorkload(name, args.scale);
     return workloads::runWorkload(*w, cfg).metrics;
 }
-
-/** @} */
-
-/** Standard line sizes swept throughout the paper. */
-inline const std::vector<unsigned> lineSizes = {8, 16, 64};
 
 inline void
 printHeaderRule()

@@ -34,8 +34,8 @@ namespace
 
 /** End-to-end machine for the micro runs: the shared bench config at 4
  *  processors with a deliberately small cache, and the invariant
- *  checkers restored (the figure benches turn them off; bench_micro
- *  audits the hot path with them on). */
+ *  checkers restored (baseConfig turns them off for the ablation
+ *  timings; bench_micro audits the hot path with them on). */
 core::MachineConfig
 microConfig()
 {

@@ -42,7 +42,7 @@ main(int argc, char **argv)
         RelaxSchedule::OptimalWO, RelaxSchedule::BadSC,
         RelaxSchedule::BadWO};
 
-    core::RunMetrics base;
+    Tick base = 0;
     for (RelaxSchedule s : schedules) {
         workloads::RelaxParams p;
         p.interior = interior;
@@ -51,10 +51,10 @@ main(int argc, char **argv)
         workloads::RelaxWorkload w(p);
         const auto m = workloads::runWorkload(w, cfg).metrics;
         if (s == RelaxSchedule::Default)
-            base = m;
+            base = m.cycles;
         std::printf("%-12s %12llu %9.1f%%\n", relaxScheduleName(s),
                     (unsigned long long)m.cycles,
-                    core::percentGain(base, m));
+                    core::percentGain(base, m.cycles));
     }
     std::printf("\n(positive = faster than the compiler's default "
                 "schedule; try SC1 vs WO1)\n");

@@ -25,9 +25,9 @@ enum class CheckMode : std::uint8_t
 
 /**
  * Which auditors run and how they report. Checking is on by default:
- * every test and the microbenchmarks run fully audited; the figure
- * benches (bench/bench_common.hh baseConfig) switch it off so the
- * reported timings carry no checking overhead.
+ * every test and the microbenchmarks run fully audited; the paper
+ * grids (exp::SweepPoint::machineConfig) and the ablation bench switch
+ * it off so the reported timings carry no checking overhead.
  */
 struct CheckConfig
 {

@@ -62,8 +62,8 @@ struct MachineConfig
     Tick maxCycles = 4'000'000'000ull;
 
     /** Invariant checking (src/check/): on by default so every test and
-     *  microbenchmark runs fully audited; the figure benches switch it
-     *  off (bench/bench_common.hh) to keep reported timings clean. */
+     *  microbenchmark runs fully audited; the paper grids and the
+     *  ablation bench switch it off to keep reported timings clean. */
     check::CheckConfig check;
 
     /** Axiomatic trace recording (src/axiom/): off by default -- it

@@ -186,21 +186,21 @@ RunMetrics::toStatSet() const
 }
 
 double
-percentGain(const RunMetrics &base, const RunMetrics &other)
+percentGain(Tick base_cycles, Tick other_cycles)
 {
-    if (base.cycles == 0)
+    if (base_cycles == 0)
         return 0.0;
     return 100.0 *
-           (static_cast<double>(base.cycles) -
-            static_cast<double>(other.cycles)) /
-           static_cast<double>(base.cycles);
+           (static_cast<double>(base_cycles) -
+            static_cast<double>(other_cycles)) /
+           static_cast<double>(base_cycles);
 }
 
 double
-absoluteGainKCycles(const RunMetrics &base, const RunMetrics &other)
+absoluteGainKCycles(Tick base_cycles, Tick other_cycles)
 {
-    return (static_cast<double>(base.cycles) -
-            static_cast<double>(other.cycles)) /
+    return (static_cast<double>(base_cycles) -
+            static_cast<double>(other_cycles)) /
            1000.0;
 }
 

@@ -115,13 +115,14 @@ struct RunMetrics
 };
 
 /**
- * Relative performance gain of @p other over @p base in percent
- * (the y-axis of paper Figures 4-8): positive when @p other is faster.
+ * Relative performance gain of a run taking @p other_cycles over one
+ * taking @p base_cycles, in percent (the y-axis of paper Figures 4-8):
+ * positive when the other run is faster.
  */
-double percentGain(const RunMetrics &base, const RunMetrics &other);
+double percentGain(Tick base_cycles, Tick other_cycles);
 
 /** Absolute benefit in kilocycles (paper Tables 3-6). */
-double absoluteGainKCycles(const RunMetrics &base, const RunMetrics &other);
+double absoluteGainKCycles(Tick base_cycles, Tick other_cycles);
 
 } // namespace mcsim::core
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Declarative sweep grids: the configuration points behind every paper
- * table and figure, named so the parallel sweep engine, the figure
- * benches, and the golden-baseline tests all run exactly the same jobs.
+ * table and figure, named so the parallel sweep engine, the paper-table
+ * report (exp/report.hh), and the golden-baseline tests all agree on
+ * exactly the same jobs.
  *
  * A SweepPoint is one (benchmark, model, geometry, seed) tuple. Its
  * canonical id() string doubles as the job key in results documents and
@@ -104,7 +105,7 @@ struct Grid
 
 /**
  * Shared point factory for the paper grids, so the grid builders and the
- * figure benches construct byte-identical ids for lookup.
+ * paper-table report construct byte-identical ids for lookup.
  */
 SweepPoint paperPoint(const std::string &benchmark, core::Model model,
                       Scale scale, bool big_cache, unsigned line_bytes,

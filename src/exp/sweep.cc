@@ -186,43 +186,6 @@ SweepOutcomes::gridResults(const std::string &g) const
     fatal("no results recorded for grid '%s'", g.c_str());
 }
 
-const core::RunMetrics &
-SweepOutcomes::metrics(const SweepPoint &point) const
-{
-    const std::string key = point.id();
-    for (const auto &results : perGrid) {
-        for (const JobResult &job : results) {
-            if (job.point.id() != key)
-                continue;
-            if (!job.ok) {
-                fatal("sweep job %s failed: %s", key.c_str(),
-                      job.error.c_str());
-            }
-            return job.metrics;
-        }
-    }
-    fatal("no sweep result for point %s", key.c_str());
-}
-
-std::size_t
-SweepOutcomes::totalJobs() const
-{
-    std::size_t n = 0;
-    for (const auto &results : perGrid)
-        n += results.size();
-    return n;
-}
-
-std::size_t
-SweepOutcomes::failedJobs() const
-{
-    std::size_t n = 0;
-    for (const auto &results : perGrid)
-        for (const JobResult &job : results)
-            n += job.ok ? 0 : 1;
-    return n;
-}
-
 Json
 jobToJson(const JobResult &job)
 {

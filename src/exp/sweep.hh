@@ -101,24 +101,14 @@ class SweepRunner
     SweepOptions opts;
 };
 
-/** Results of one or more grids keyed for lookup by point id. */
+/** Results of one or more grids, in insertion order. */
 class SweepOutcomes
 {
   public:
     void add(const Grid &grid, std::vector<JobResult> results);
 
-    /** Grids in insertion order. @{ */
-    const std::vector<std::string> &gridsRun() const { return order; }
+    /** Results of grid @p g in grid order; fatal() when not added. */
     const std::vector<JobResult> &gridResults(const std::string &g) const;
-    /** @} */
-
-    /** Lookup by point identity; fatal() when missing or failed. */
-    const core::RunMetrics &metrics(const SweepPoint &point) const;
-
-    /** Total and failed job counts across all grids. @{ */
-    std::size_t totalJobs() const;
-    std::size_t failedJobs() const;
-    /** @} */
 
     /** The canonical results document (sweepDocument of every grid). */
     Json toJson() const;
@@ -131,10 +121,7 @@ class SweepOutcomes
     std::vector<std::vector<JobResult>> perGrid;
 };
 
-/**
- * Convenience: run @p grid and wrap the results for lookup. The figure
- * benches use this to replace their serial config loops.
- */
+/** Convenience: run @p grid and wrap its results. */
 SweepOutcomes runGrid(const Grid &grid, SweepOptions options = {});
 
 /**

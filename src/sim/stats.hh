@@ -3,8 +3,8 @@
  * A small named-statistics container used for dumping and test inspection.
  *
  * Components keep their counters in typed structs for speed; StatSet is the
- * uniform export format (name -> double) used by the experiment runner, the
- * explorer example, and the bench table printers.
+ * uniform export format (name -> double) used by the experiment runner,
+ * obs_report's JSON report, and the tests.
  */
 
 #ifndef MCSIM_SIM_STATS_HH

@@ -151,7 +151,7 @@ TEST(Determinism, CsvCarriesMshrAndObsColumns)
     ASSERT_EQ(header.size(), row.size());
 
     const StatSet stats =
-        outcomes.metrics(grid.points.front()).toStatSet();
+        outcomes.gridResults("quick").front().metrics.toStatSet();
     const char *required[] = {
         "mshrBusyCycles",     "avgMshrOccupancy",
         "busyCycles",         "idleCycles",

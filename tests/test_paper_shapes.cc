@@ -3,8 +3,8 @@
  * Executable versions of the paper's headline qualitative findings, at
  * reduced sizes so they run in seconds. These are the regression tests
  * that keep the reproduction honest: if a change to the simulator breaks
- * one of the paper's shapes, it fails here before it reaches the bench
- * binaries.
+ * one of the paper's shapes, it fails here before it reaches the paper
+ * tables.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 
 using namespace mcsim;
 using core::Model;
+using core::percentGain;
 
 namespace
 {
@@ -45,26 +46,18 @@ gaussCycles(Model m, unsigned line, unsigned n = 96, unsigned cache = 4096)
         .metrics.cycles;
 }
 
-double
-gain(Tick base, Tick other)
-{
-    return 100.0 * (static_cast<double>(base) -
-                    static_cast<double>(other)) /
-           static_cast<double>(base);
-}
-
 } // namespace
 
 TEST(PaperShapes, GaussGainsDecreaseWithLineSize)
 {
     // Figure 4, Gauss: the smaller the line (the lower the hit rate),
     // the bigger the relaxed-model gain.
-    const double g8 = gain(gaussCycles(Model::SC1, 8),
-                           gaussCycles(Model::WO1, 8));
-    const double g16 = gain(gaussCycles(Model::SC1, 16),
-                            gaussCycles(Model::WO1, 16));
-    const double g64 = gain(gaussCycles(Model::SC1, 64),
-                            gaussCycles(Model::WO1, 64));
+    const double g8 =
+        percentGain(gaussCycles(Model::SC1, 8), gaussCycles(Model::WO1, 8));
+    const double g16 = percentGain(gaussCycles(Model::SC1, 16),
+                                   gaussCycles(Model::WO1, 16));
+    const double g64 = percentGain(gaussCycles(Model::SC1, 64),
+                                   gaussCycles(Model::WO1, 64));
     EXPECT_GT(g8, g16);
     EXPECT_GT(g16, g64);
     EXPECT_GT(g8, 15.0);  // substantial benefit at 8-byte lines
@@ -77,7 +70,7 @@ TEST(PaperShapes, RcAndWo1AreEquivalent)
     // similar manner", RC at most slightly better.
     const Tick wo1 = gaussCycles(Model::WO1, 16);
     const Tick rc = gaussCycles(Model::RC, 16);
-    const double diff = gain(wo1, rc);
+    const double diff = percentGain(wo1, rc);
     EXPECT_GT(diff, -2.0);
     EXPECT_LT(diff, 5.0);
 }
@@ -101,7 +94,7 @@ TEST(PaperShapes, Sc2PrefetchIsMarginalForGauss)
     const Tick sc1 = gaussCycles(Model::SC1, 16);
     const Tick sc2 = gaussCycles(Model::SC2, 16);
     const Tick wo1 = gaussCycles(Model::WO1, 16);
-    EXPECT_LT(gain(sc1, sc2), 0.6 * gain(sc1, wo1));
+    EXPECT_LT(percentGain(sc1, sc2), 0.6 * percentGain(sc1, wo1));
 }
 
 TEST(PaperShapes, GaussGainsCollapseWhenDataFitsCache)
@@ -109,11 +102,12 @@ TEST(PaperShapes, GaussGainsCollapseWhenDataFitsCache)
     // Figure 5: with the large cache the hit rates are uniformly high
     // and "the benefits never reach 2%" (we allow a looser bound at the
     // reduced test size).
-    const double small_gain = gain(gaussCycles(Model::SC1, 16, 96, 2048),
-                                   gaussCycles(Model::WO1, 16, 96, 2048));
+    const double small_gain =
+        percentGain(gaussCycles(Model::SC1, 16, 96, 2048),
+                    gaussCycles(Model::WO1, 16, 96, 2048));
     const double big_gain =
-        gain(gaussCycles(Model::SC1, 16, 96, 64 * 1024),
-             gaussCycles(Model::WO1, 16, 96, 64 * 1024));
+        percentGain(gaussCycles(Model::SC1, 16, 96, 64 * 1024),
+                    gaussCycles(Model::WO1, 16, 96, 64 * 1024));
     EXPECT_LT(big_gain, 0.6 * small_gain);
 }
 
@@ -146,8 +140,8 @@ TEST(PaperShapes, RelaxGainsAreSmall)
         return workloads::runWorkload(w, paperConfig(m, 16))
             .metrics.cycles;
     };
-    const double g = gain(relax_cycles(Model::SC1),
-                          relax_cycles(Model::WO1));
+    const double g =
+        percentGain(relax_cycles(Model::SC1), relax_cycles(Model::WO1));
     EXPECT_LT(g, 10.0);
     EXPECT_GT(g, -2.0);
 }
@@ -160,8 +154,8 @@ TEST(PaperShapes, BlockingLoadsCaptureGaussWriteLatency)
     const Tick bsc1 = gaussCycles(Model::BSC1, 16);
     const Tick bwo1 = gaussCycles(Model::BWO1, 16);
     const Tick wo1 = gaussCycles(Model::WO1, 16);
-    EXPECT_GT(gain(bsc1, bwo1), 0.0);
-    EXPECT_GT(gain(bsc1, wo1), gain(bsc1, bwo1));
+    EXPECT_GT(percentGain(bsc1, bwo1), 0.0);
+    EXPECT_GT(percentGain(bsc1, wo1), percentGain(bsc1, bwo1));
 }
 
 TEST(PaperShapes, ThirtyTwoProcessorsStillGain)
@@ -178,5 +172,5 @@ TEST(PaperShapes, ThirtyTwoProcessorsStillGain)
     cfg.model = Model::WO1;
     workloads::GaussWorkload w2(p);
     const Tick wo1 = workloads::runWorkload(w2, cfg).metrics.cycles;
-    EXPECT_GT(gain(sc1, wo1), 10.0);
+    EXPECT_GT(percentGain(sc1, wo1), 10.0);
 }

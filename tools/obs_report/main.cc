@@ -14,6 +14,9 @@
  * Defaults: Relax / WO1 / quick-grid geometry (8 procs, 4K cache,
  * 16-byte lines, delay 4), derived seed. --trace FILE writes a Chrome
  * trace-event JSON loadable in ui.perfetto.dev / chrome://tracing.
+ * --json prints the point's metrics and, under "stats", every raw
+ * counter the machine registers (Machine::collectStats: network, cache,
+ * directory, memory-module and processor counters).
  *
  * Exit status: 0 ok, 1 when --assert-identity finds a processor whose
  * busy + stall cycles do not equal its run time (or the machine-level
@@ -74,7 +77,8 @@ usage(const char *argv0)
         "  --trace-capacity  tracer ring size in events (default 1M)\n"
         "  --assert-identity exit 1 unless busy + stalls == cycles "
         "exactly\n"
-        "  --json            machine-readable report instead of tables\n",
+        "  --json            machine-readable report (metrics and every\n"
+        "                    raw counter) instead of tables\n",
         argv0);
 }
 
@@ -265,6 +269,10 @@ main(int argc, char **argv)
         for (const auto &[name, value] : m.toStatSet())
             metrics[name] = exp::Json(value);
         doc["metrics"] = std::move(metrics);
+        exp::Json stats = exp::Json::object();
+        for (const auto &[name, value] : machine->collectStats())
+            stats[name] = exp::Json(value);
+        doc["stats"] = std::move(stats);
         std::printf("%s\n", doc.dump().c_str());
         return identity_ok || !opt.assertIdentity ? 0 : 1;
     }

@@ -1,8 +1,9 @@
 /**
  * @file
  * sweep_runner: run named configuration grids through the parallel
- * sweep engine (src/exp/) and emit canonical JSON/CSV results, or check
- * them against committed golden baselines.
+ * sweep engine (src/exp/), print the paper's tables for the paper grids,
+ * and emit canonical JSON/CSV results, or check them against committed
+ * golden baselines.
  *
  * Usage:
  *   sweep_runner [--grid NAME[,NAME...]]... [--scale quick|scaled|full]
@@ -13,9 +14,13 @@
  *                [--faults PRESET] [--chaos]
  *                [--list] [--no-progress]
  *
- * Defaults: --grid quick, --threads hardware, --out
- * results/BENCH_sweep.json when any grid ran and --out was not given
- * explicitly pass --out "" to suppress writing.
+ * Defaults: --grid quick, --threads hardware. Files are written only
+ * when asked for: --out, --csv, --golden-out.
+ *
+ * Each paper grid (fig2, fig4..fig9, table2, tables3_6) prints its
+ * figure's or table's rows on stdout (exp::paperReport, rendered from
+ * the results document), so `sweep_runner --grid fig4 --scale full`
+ * reproduces Figure 4 at the paper's sizes.
  *
  * The JSON document is byte-identical for a given grid list regardless
  * of --threads (results are serialized in grid order; nothing
@@ -57,6 +62,7 @@
 #include "exp/chaos.hh"
 #include "exp/golden.hh"
 #include "exp/grid.hh"
+#include "exp/report.hh"
 #include "exp/sweep.hh"
 #include "fault/fault_config.hh"
 #include "mem/cache.hh"
@@ -77,8 +83,7 @@ struct Options
     std::vector<std::string> grids;
     exp::Scale scale = exp::Scale::Scaled;
     unsigned threads = 0;
-    std::string out = "results/BENCH_sweep.json";
-    bool outExplicit = false;
+    std::string out;
     std::string csv;
     std::string checkDir;
     std::string goldenOut;
@@ -116,10 +121,8 @@ usage(const char *argv0)
         "  --scale       problem/cache scale for the paper grids\n"
         "                (default scaled; the quick grid is always quick)\n"
         "  --threads     worker threads (default: hardware concurrency)\n"
-        "  --out         results JSON path (default "
-        "results/BENCH_sweep.json,\n"
-        "                or results/BENCH_chaos.json under --chaos;\n"
-        "                \"\" suppresses writing)\n"
+        "  --out         write the results JSON (the chaos report under\n"
+        "                --chaos) to FILE\n"
         "  --csv         also write a flat CSV of every job\n"
         "  --check       diff each grid against DIR/<grid>.json golden\n"
         "                baselines; non-zero exit on divergence\n"
@@ -217,7 +220,6 @@ parseArgs(int argc, char **argv)
             opt.threads = nextUnsigned();
         } else if (arg == "--out") {
             opt.out = next();
-            opt.outExplicit = true;
         } else if (arg == "--csv") {
             opt.csv = next();
         } else if (arg == "--check") {
@@ -257,8 +259,6 @@ parseArgs(int argc, char **argv)
     }
     if (opt.grids.empty())
         opt.grids.push_back("quick");
-    if (opt.chaos && !opt.outExplicit)
-        opt.out = "results/BENCH_chaos.json";
     return opt;
 }
 
@@ -479,8 +479,9 @@ jobText(const exp::Json &job, const char *name)
 
 /**
  * The output tail plain and journaled runs share: results document,
- * CSV, per-grid goldens, golden check, and the summary with its failure
- * list. Exit status 0 only when every job is ok and every check clean.
+ * CSV, per-grid goldens, the paper's tables, golden check, and the
+ * summary with its failure list. Exit status 0 only when every job is
+ * ok and every check clean.
  */
 int
 writeResults(const Options &opt, const exp::Json &doc)
@@ -498,6 +499,9 @@ writeResults(const Options &opt, const exp::Json &doc)
                 opt.goldenOut + "/" + name + ".json",
                 exp::sweepDocument({{name, jobs}}).dump() + "\n");
     }
+    const std::string report = exp::paperReport(doc);
+    if (!report.empty())
+        std::printf("%s\n", report.c_str());
 
     bool check_ok = true;
     if (!opt.checkDir.empty()) {
