@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "check/checker.hh"
 #include "sim/logging.hh"
@@ -28,8 +29,10 @@ CacheParams::validate() const
 Cache::Cache(EventQueue &eq, ProcId proc, const CacheParams &params,
              Outbox &outbox, unsigned num_modules)
     : queue(eq), procId(proc), cfg(params), out(outbox),
-      numModules(num_modules), lines(cfg.numSets() * cfg.assoc),
-      mshrs(cfg.numMshrs)
+      numModules(num_modules),
+      lines(std::make_unique_for_overwrite<Line[]>(
+          std::size_t(cfg.numSets()) * cfg.assoc)),
+      touchedSets((cfg.numSets() + 63) / 64, 0), mshrs(cfg.numMshrs)
 {
     cfg.validate();
     if (num_modules == 0)
@@ -50,9 +53,25 @@ Cache::moduleOf(Addr line_addr) const
 }
 
 Cache::Line *
+Cache::touchSet(std::uint32_t set)
+{
+    Line *ways = &lines[std::size_t(set) * cfg.assoc];
+    std::uint64_t &word = touchedSets[set / 64];
+    const std::uint64_t bit = std::uint64_t(1) << (set % 64);
+    if (!(word & bit)) {
+        word |= bit;
+        std::fill_n(ways, cfg.assoc,
+                    Line{invalidAddr, LineState::Invalid, 0, 0});
+    }
+    return ways;
+}
+
+Cache::Line *
 Cache::findLine(Addr line_addr)
 {
     const std::uint32_t set = setOf(line_addr);
+    if (!touched(set))
+        return nullptr;
     for (std::uint32_t w = 0; w < cfg.assoc; ++w) {
         Line &line = lines[set * cfg.assoc + w];
         if (line.state != LineState::Invalid && line.lineAddr == line_addr)
@@ -114,21 +133,26 @@ Cache::lineState(Addr addr) const
 unsigned
 Cache::validLineCount() const
 {
-    unsigned n = 0;
-    for (const auto &line : lines)
-        if (line.state == LineState::Shared || line.state == LineState::Modified)
-            ++n;
-    return n;
+    return static_cast<unsigned>(validLines().size());
 }
 
 std::vector<std::pair<Addr, Cache::LineState>>
 Cache::validLines() const
 {
+    // Touched sets in ascending order, each set's ways in order: the
+    // tag store's own order, visiting only what the run touched.
     std::vector<std::pair<Addr, LineState>> out;
-    for (const auto &line : lines) {
-        if (line.state == LineState::Shared ||
-            line.state == LineState::Modified) {
-            out.emplace_back(line.lineAddr, line.state);
+    for (std::size_t w = 0; w < touchedSets.size(); ++w) {
+        for (std::uint64_t bits = touchedSets[w]; bits; bits &= bits - 1) {
+            const std::size_t set =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            for (std::uint32_t way = 0; way < cfg.assoc; ++way) {
+                const Line &line = lines[set * cfg.assoc + way];
+                if (line.state == LineState::Shared ||
+                    line.state == LineState::Modified) {
+                    out.emplace_back(line.lineAddr, line.state);
+                }
+            }
         }
     }
     return out;
@@ -150,9 +174,10 @@ Cache::pendingMshrs() const
 Cache::Line *
 Cache::pickVictim(std::uint32_t set)
 {
+    Line *const ways = touchSet(set);
     Line *victim = nullptr;
     for (std::uint32_t w = 0; w < cfg.assoc; ++w) {
-        Line &line = lines[set * cfg.assoc + w];
+        Line &line = ways[w];
         if (line.state == LineState::Invalid)
             return &line;
         if (line.state == LineState::Pending)

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <unordered_map>
 #include <unordered_set>
@@ -192,7 +193,8 @@ class Cache
     /** Number of lines currently valid (S or M); tests. */
     unsigned validLineCount() const;
 
-    /** Snapshot of all valid lines (tests/invariant checks). */
+    /** Snapshot of all valid lines in ascending (set, way) order
+     *  (tests/invariant checks); walks only the sets a run touched. */
     std::vector<std::pair<Addr, LineState>> validLines() const;
 
     /** One in-flight miss, for the watchdog's diagnostic snapshot. */
@@ -212,14 +214,16 @@ class Cache
     const CacheParams &params() const { return cfg; }
 
   private:
+    /** One way. No member initialisers: the tag store is allocated
+     *  unwritten, and touchSet() initialises a set's ways. */
     struct Line
     {
-        Addr lineAddr = invalidAddr;
-        LineState state = LineState::Invalid;
-        Tick lru = 0;
+        Addr lineAddr;
+        LineState state;
+        Tick lru;
         /** Directory grant seq this copy was installed under (hardened
          *  protocol: stamps Writeback/FlushData surrenders). */
-        std::uint32_t seq = 0;
+        std::uint32_t seq;
     };
 
     struct Mshr
@@ -254,6 +258,14 @@ class Cache
     Addr lineOf(Addr addr) const { return alignDown(addr, cfg.lineBytes); }
     std::uint32_t setOf(Addr line_addr) const;
     ModuleId moduleOf(Addr line_addr) const;
+
+    /** True once @p set's ways have been initialised. */
+    bool touched(std::uint32_t set) const
+    {
+        return (touchedSets[set / 64] >> (set % 64)) & 1;
+    }
+    /** @p set's first way, its ways set to Invalid on the first touch. */
+    Line *touchSet(std::uint32_t set);
 
     Line *findLine(Addr line_addr);
     const Line *findLine(Addr line_addr) const;
@@ -301,7 +313,13 @@ class Cache
     Outbox &out;
     unsigned numModules;
 
-    std::vector<Line> lines;  ///< sets * assoc, way-major within set
+    /** sets * assoc ways, way-major within a set, allocated unwritten
+     *  so that building a cache costs nothing per set. No way is read
+     *  before touchSet() initialises its set: findLine() treats an
+     *  untouched set as all-Invalid. */
+    std::unique_ptr<Line[]> lines;
+    /** Bit s set once set s has been touched. */
+    std::vector<std::uint64_t> touchedSets;
     std::vector<Mshr> mshrs;
     /** Lines removed by coherence; a later miss on one is an inv. miss. */
     std::unordered_set<Addr> invalidatedLines;

@@ -1,23 +1,23 @@
 #include "mem/functional_memory.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace mcsim::mem
 {
 
-FunctionalMemory::FunctionalMemory(std::size_t initial_bytes)
-    : bytes(initial_bytes, 0)
-{}
-
 void
 FunctionalMemory::ensure(Addr limit)
 {
-    if (limit > bytes.size()) {
-        std::size_t grown = bytes.size() ? bytes.size() : 1;
-        while (grown < limit)
-            grown *= 2;
-        bytes.resize(grown, 0);
+    if (limit > segmentBytes) {
+        fatal("functional memory: address limit 0x%llx is past the "
+              "segment bound 0x%llx",
+              static_cast<unsigned long long>(limit),
+              static_cast<unsigned long long>(segmentBytes));
     }
+    if (limit > bytes.size())
+        bytes.resize(std::bit_ceil(limit), 0);
 }
 
 std::uint64_t
@@ -48,22 +48,28 @@ FunctionalMemory::fingerprint(Addr addr, std::size_t n) const
 void
 FunctionalMemory::read(Addr addr, void *out, std::size_t n) const
 {
-    if (addr + n <= bytes.size()) {
+    // Neither branch forms addr + n, which could wrap near 2^64.
+    const std::size_t backed = bytes.size();
+    if (addr <= backed && n <= backed - addr) {
         std::memcpy(out, bytes.data() + addr, n);
     } else {
         // Unbacked reads return zero; workloads initialize their data so
         // this only happens for never-written padding.
         std::memset(out, 0, n);
-        if (addr < bytes.size()) {
-            std::size_t avail = bytes.size() - addr;
-            std::memcpy(out, bytes.data() + addr, avail);
-        }
+        if (addr < backed)
+            std::memcpy(out, bytes.data() + addr, backed - addr);
     }
 }
 
 void
 FunctionalMemory::write(Addr addr, const void *in, std::size_t n)
 {
+    if (addr > segmentBytes || n > segmentBytes - addr) {
+        fatal("functional memory: write of %zu byte(s) at 0x%llx is past "
+              "the segment bound 0x%llx",
+              n, static_cast<unsigned long long>(addr),
+              static_cast<unsigned long long>(segmentBytes));
+    }
     ensure(addr + n);
     std::memcpy(bytes.data() + addr, in, n);
 }

@@ -22,20 +22,32 @@
 namespace mcsim::mem
 {
 
-/** A flat, growable byte store for the simulated shared segment. */
+/**
+ * A flat, growable byte store for the simulated shared segment. It starts
+ * empty and backs [0, size()), where size() is the smallest power of two
+ * at or above the highest address written or ensure()d, whatever the
+ * order; a machine therefore pays only for what its run touches.
+ */
 class FunctionalMemory
 {
   public:
-    /** @param initial_bytes initial allocation (grows on demand). */
-    explicit FunctionalMemory(std::size_t initial_bytes = 1 << 20);
+    /**
+     * The segment bound: no access may reach past it. 1 GiB is 128x the
+     * largest layout (full-scale Relax, 8 MiB). write() and ensure() past
+     * it are fatal(), so an outside address (an imported trace) can
+     * neither wrap the store nor exhaust host memory.
+     */
+    static constexpr Addr segmentBytes = Addr(1) << 30;
 
-    /** Currently backed size in bytes. */
+    /** Currently backed size in bytes (0 until the first write). */
     std::size_t size() const { return bytes.size(); }
 
-    /** Read @p n bytes at @p addr into @p out. */
+    /** Read @p n bytes at @p addr into @p out; unbacked bytes, including
+     *  any past the segment bound, read as zero. */
     void read(Addr addr, void *out, std::size_t n) const;
 
-    /** Write @p n bytes from @p in at @p addr. */
+    /** Write @p n bytes from @p in at @p addr; fatal() past the segment
+     *  bound. */
     void write(Addr addr, const void *in, std::size_t n);
 
     /** Typed accessors. @{ */
@@ -55,14 +67,16 @@ class FunctionalMemory
      */
     std::uint64_t testAndSet(Addr addr);
 
-    /** Ensure addresses [0, limit) are backed. */
+    /** Ensure addresses [0, limit) are backed; fatal() when @p limit is
+     *  past the segment bound. */
     void ensure(Addr limit);
 
     /**
      * FNV-1a hash over the full backed image. The chaos harness compares
      * a faulted run's fingerprint against its fault-free twin to assert
      * fault transparency: injected faults may change timing, never the
-     * final memory contents.
+     * final memory contents. Twins ensure() the same layout, so their
+     * backed sizes match too.
      */
     std::uint64_t fingerprint() const;
 
@@ -72,8 +86,8 @@ class FunctionalMemory
     std::uint64_t fingerprint(Addr addr, std::size_t n) const;
 
   private:
-    // A const read of an unbacked address returns zero without growing;
-    // writes grow the store. mutable is avoided by pre-growing in ensure().
+    // Only write() and ensure() grow the store; a read of an unbacked
+    // address returns zero without growing it, so read() stays const.
     std::vector<std::uint8_t> bytes;
 };
 

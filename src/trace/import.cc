@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "mem/functional_memory.hh"
 #include "sim/logging.hh"
 #include "trace/reader.hh"
 
@@ -131,8 +132,16 @@ importTextTrace(const std::string &text, const ImportParams &params,
         txn.write = op == "w" || op == "W";
         // The source format stores byte addresses; align down to the
         // containing 8-byte word -- same cache line, valid alignment.
-        txn.addr = parseAddr(nextToken(line, pos), line_no) &
-                   ~static_cast<Addr>(7);
+        const std::string addr_tok = nextToken(line, pos);
+        txn.addr = parseAddr(addr_tok, line_no) & ~static_cast<Addr>(7);
+        if (txn.addr > mem::FunctionalMemory::segmentBytes - 8) {
+            fatal("trace import: line %llu: address '%s' is past the "
+                  "segment bound 0x%llx",
+                  static_cast<unsigned long long>(line_no),
+                  addr_tok.c_str(),
+                  static_cast<unsigned long long>(
+                      mem::FunctionalMemory::segmentBytes));
+        }
         const std::string extra = nextToken(line, pos);
         if (!extra.empty() && extra[0] != '#')
             fatal("trace import: line %llu: trailing junk '%s'",

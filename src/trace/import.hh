@@ -55,7 +55,8 @@ struct ImportSummary
 /**
  * Parse the text trace in @p text and append the converted records to
  * @p sink as a canonical trace file. fatal() on any malformed line
- * (unknown operation, bad processor or address token, trailing junk) or
+ * (unknown operation, bad processor or address token, an address whose
+ * word ends past mem::FunctionalMemory::segmentBytes, trailing junk) or
  * an empty trace; the message names the 1-based line number.
  */
 ImportSummary importTextTrace(const std::string &text,

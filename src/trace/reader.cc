@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "mem/functional_memory.hh"
 #include "sim/logging.hh"
 
 namespace mcsim::trace
@@ -226,6 +227,17 @@ TraceReader::validate() const
                           static_cast<unsigned long long>(index),
                           static_cast<unsigned long long>(rec.addr),
                           static_cast<unsigned>(rec.width));
+                }
+                // Written so that an end near 2^64 cannot wrap past it.
+                if (rec.addr > mem::FunctionalMemory::segmentBytes -
+                                   rec.width) {
+                    fatal("trace: proc %u record %llu accesses address "
+                          "0x%llx (width %u) past the segment bound 0x%llx",
+                          p, static_cast<unsigned long long>(index),
+                          static_cast<unsigned long long>(rec.addr),
+                          static_cast<unsigned>(rec.width),
+                          static_cast<unsigned long long>(
+                              mem::FunctionalMemory::segmentBytes));
                 }
                 sum.addrLimit =
                     std::max<Addr>(sum.addrLimit, rec.addr + rec.width);

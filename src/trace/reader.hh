@@ -140,7 +140,8 @@ class TraceReader
 
     /**
      * Decode and check every record of every processor: payload CRCs,
-     * clean record boundaries, address alignment, and the load-token
+     * clean record boundaries, address alignment, accesses that end
+     * within mem::FunctionalMemory::segmentBytes, and the load-token
      * discipline the replaying processor will enforce with asserts
      * (every Use names a live token from an earlier Load). fatal() on
      * the first violation; returns aggregate statistics otherwise.

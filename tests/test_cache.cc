@@ -300,6 +300,57 @@ TEST(Cache, RecallExclusiveInvalidatesOwner)
     EXPECT_EQ(h.c1().lineState(0x900), Cache::LineState::Modified);
 }
 
+TEST(Cache, ValidLinesWalkTouchedSetsInSetWayOrder)
+{
+    // 128 sets, so the touched-set bitmap spans two words.
+    mem::CacheParams p = smallParams();
+    p.cacheBytes = 4096;
+    MemHarness h(p);
+    using State = Cache::LineState;
+    using Lines = std::vector<std::pair<Addr, State>>;
+    EXPECT_TRUE(h.c0().validLines().empty());
+    EXPECT_EQ(h.c0().validLineCount(), 0u);
+
+    // Sets are touched out of order: 100, then 3, then both ways of 7.
+    const Addr a = 100 * 16, b = 3 * 16, c1 = 7 * 16;
+    const Addr c2 = c1 + 2048, c3 = c1 + 4096;
+    h.c0().access(a, AccessType::Load, 1);
+    h.settle();
+    h.c0().access(b, AccessType::Store, 2);
+    h.settle();
+    h.c0().access(c1, AccessType::Load, 3);
+    h.settle();
+    h.c0().access(c2, AccessType::Store, 4);
+    h.settle();
+    EXPECT_EQ(h.c0().validLines(),
+              (Lines{{b, State::Modified},
+                     {c1, State::Shared},
+                     {c2, State::Modified},
+                     {a, State::Shared}}));
+
+    // Eviction: c3 replaces the LRU c1 in way 0 of set 7.
+    h.c0().access(c3, AccessType::Load, 5);
+    h.settle();
+    // Invalidation: cache 1 writes a.
+    h.c1().access(a, AccessType::Store, 1);
+    h.settle();
+    // Recall: cache 1 reads b, downgrading cache 0's copy.
+    h.c1().access(b, AccessType::Load, 2);
+    h.settle();
+    ASSERT_EQ(h.c0().stats().recallsServed, 1u);
+    ASSERT_EQ(h.c0().stats().invalidationsReceived, 1u);
+
+    EXPECT_EQ(h.c0().validLines(),
+              (Lines{{b, State::Shared},
+                     {c3, State::Shared},
+                     {c2, State::Modified}}));
+    EXPECT_EQ(h.c0().validLineCount(), 3u);
+    // Cache 1 touched set 100 before set 3.
+    EXPECT_EQ(h.c1().validLines(),
+              (Lines{{b, State::Shared}, {a, State::Modified}}));
+    EXPECT_EQ(h.c1().validLineCount(), 2u);
+}
+
 TEST(Cache, PrefetchSharedAndDemandMerge)
 {
     MemHarness h(smallParams());

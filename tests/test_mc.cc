@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,8 @@ TEST(McSchedule, IndependenceIsPerObject)
 
 TEST(McExplore, AllModelsVerifyCoreLitmusShapes)
 {
+    std::uint64_t schedules = 0;
+    std::uint64_t choices = 0;
     for (const Model model : core::allModels) {
         for (const char *name : {"SB", "MP", "MP+sync", "LB", "CoRR"}) {
             const McResult res = explore(options(model, name));
@@ -88,12 +91,20 @@ TEST(McExplore, AllModelsVerifyCoreLitmusShapes)
                 << core::modelName(model) << " / " << name << ": "
                 << (res.violation ? res.violation->report : "");
             EXPECT_GT(res.stats.schedulesRun, 0u);
+            schedules += res.stats.schedulesRun;
+            choices += res.stats.choicePoints;
         }
     }
+    // The search itself is pinned (padding seed 1, mc_runner --stats):
+    // a change to what the explorer visits must say so here.
+    EXPECT_EQ(schedules, 372u);
+    EXPECT_EQ(choices, 4584u);
 }
 
 TEST(McExplore, WeakModelsVerifyFourProcShapes)
 {
+    std::uint64_t schedules = 0;
+    std::uint64_t choices = 0;
     for (const Model model : {Model::WO1, Model::RC}) {
         for (const char *name : {"WRC", "IRIW"}) {
             const McResult res = explore(options(model, name));
@@ -107,8 +118,12 @@ TEST(McExplore, WeakModelsVerifyFourProcShapes)
             // the delivery pools never held concurrent messages.
             EXPECT_GT(res.stats.branchPoints, 0u);
             EXPECT_GT(res.stats.schedulesRun, 10u);
+            schedules += res.stats.schedulesRun;
+            choices += res.stats.choicePoints;
         }
     }
+    EXPECT_EQ(schedules, 2606u);
+    EXPECT_EQ(choices, 51968u);
 }
 
 // -------------------------------------------------------------------------

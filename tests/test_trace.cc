@@ -26,6 +26,7 @@
 
 #include "core/machine.hh"
 #include "exp/grid.hh"
+#include "mem/functional_memory.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "trace/capture.hh"
@@ -449,6 +450,41 @@ TEST(TraceMalformed, RejectsSemanticViolations)
     }
 }
 
+TEST(TraceMalformed, RejectsAddressesPastTheSegment)
+{
+    // Validation must bound every access before a machine exists: an
+    // end that wraps 2^64 or passes the segment would otherwise overflow
+    // or exhaust the functional store at replay.
+    constexpr Addr bound = mem::FunctionalMemory::segmentBytes;
+    auto single = [](trace::OpKind kind, Addr addr, std::uint8_t width) {
+        trace::TraceHeader header;
+        header.procCount = 2;
+        header.source = "bad";
+        trace::MemorySink sink;
+        trace::TraceWriter writer(header, sink);
+        trace::Record rec;
+        rec.kind = kind;
+        rec.addr = addr;
+        rec.width = width;
+        rec.value = 1;
+        writer.append(1, rec);
+        writer.finish();
+        return sink.take();
+    };
+    expectRejected(single(trace::OpKind::Store, 0xfffffffffffffff8ull, 8),
+                   "store wraps 2^64");
+    expectRejected(single(trace::OpKind::LoadUse, 0xfffffffffffffff8ull, 8),
+                   "load wraps 2^64");
+    expectRejected(single(trace::OpKind::LoadUse, 0x100000000000ull, 8),
+                   "load far past the segment");
+    expectRejected(single(trace::OpKind::Store, bound, 4),
+                   "store ends 4 bytes past the segment");
+
+    const trace::TraceReader last(std::make_shared<trace::MemorySource>(
+        single(trace::OpKind::Store, bound - 8, 8)));
+    EXPECT_EQ(last.validate().addrLimit, bound);
+}
+
 TEST(TraceMalformed, RejectsTrailingPayloadBytes)
 {
     // Hand-frame a block whose payload holds one record plus a stray
@@ -763,6 +799,9 @@ TEST(TraceImport, RejectsEveryMalformedLineWithItsNumber)
         {"0 r 0x10 extra\n", "trailing junk"},
         {"0 r\n", "missing address"},
         {"# only comments\n\n", "empty trace"},
+        {"0 w 0xfffffffffffffff8\n", "address wraps 2^64"},
+        {"1 r 0x100000000000\n", "address past the segment"},
+        {"0 r 0x3ffffffc\n0 r 0x40000000\n", "address past the segment"},
     };
     for (const auto &c : bad) {
         EXPECT_THROW(trace::importTextTrace(c.text, {}, sink), FatalError)
