@@ -15,7 +15,6 @@ endif()
 file(GLOB_RECURSE MCSIM_FORMAT_SOURCES
      ${CMAKE_SOURCE_DIR}/src/*.cc ${CMAKE_SOURCE_DIR}/src/*.hh
      ${CMAKE_SOURCE_DIR}/tests/*.cc ${CMAKE_SOURCE_DIR}/tests/*.hh
-     ${CMAKE_SOURCE_DIR}/bench/*.cc ${CMAKE_SOURCE_DIR}/bench/*.hh
      ${CMAKE_SOURCE_DIR}/examples/*.cc
      ${CMAKE_SOURCE_DIR}/tools/*.cc ${CMAKE_SOURCE_DIR}/tools/*.hh)
 

@@ -17,9 +17,9 @@ namespace mcsim::axiom
 
 /**
  * Trace recording is off by default: the recorder stores every shared
- * access for the whole run, which is memory the figure benches and the
- * long workload sweeps do not want to pay. Tests that feed the axiomatic
- * checker switch it on per-machine.
+ * access for the whole run, which is memory the long workload sweeps
+ * do not want to pay. Tests that feed the axiomatic checker switch it on
+ * per-machine.
  */
 struct TraceConfig
 {

@@ -18,16 +18,16 @@ namespace mcsim::check
 /** What to do when an auditor detects a violation. */
 enum class CheckMode : std::uint8_t
 {
-    Off,    ///< no checking at all (figure benches: zero overhead)
+    Off,    ///< no checking at all (sweep points: zero overhead)
     Count,  ///< count violations in CheckStats; warn on the first few
     Fatal,  ///< throw FatalError at the first violation (tests)
 };
 
 /**
  * Which auditors run and how they report. Checking is on by default:
- * every test and the microbenchmarks run fully audited; the paper
- * grids (exp::SweepPoint::machineConfig) and the ablation bench switch
- * it off so the reported timings carry no checking overhead.
+ * every test runs fully audited; sweep points
+ * (exp::SweepPoint::machineConfig) switch it off unless they ask for
+ * checks, so the reported timings carry no checking overhead.
  */
 struct CheckConfig
 {

@@ -68,7 +68,8 @@ struct ModelParams
      *  outstanding reference once its request has been handed to the
      *  network interface buffer -- the paper's "(very) limited use of
      *  write buffers" that hides write latency "in all implementations"
-     *  (sections 2.1 and 4.1.3). Ablatable via bench_ablation. */
+     *  (sections 2.1 and 4.1.3). The ablation grid's scsb variant
+     *  turns it on. */
     bool scStoreBufferRelease = false;
 };
 

@@ -34,10 +34,8 @@ Machine::Machine(const MachineConfig &config) : cfg(config)
     const unsigned ports = std::max(cfg.numProcs, cfg.numModules);
     const ModelParams model = cfg.modelParams();
 
-    if (cfg.obs.tracer) {
+    if (cfg.obs.tracer)
         tracerPtr = std::make_unique<obs::Tracer>(cfg.obs.tracerEvents);
-        tracerPtr->arm(cfg.obs.tracerArmed);
-    }
 
     reqNet = std::make_unique<Network>(
         queue, ports, cfg.switchRadix, [this](mem::NetMsg &&msg) {

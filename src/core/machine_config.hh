@@ -48,7 +48,7 @@ struct MachineConfig
 
     /** Sequential next-line hardware prefetch in every cache (an
      *  extension beyond the paper's SC2 stall prefetch; off by default,
-     *  studied in bench_ablation). */
+     *  studied by the ablation grid's nlpf variant). */
     bool nextLinePrefetch = false;
 
     /** Latency calibration (see DESIGN.md): 18-cycle uncontended miss for
@@ -61,9 +61,9 @@ struct MachineConfig
     /** Runaway guard: fatal() if simulated time exceeds this. */
     Tick maxCycles = 4'000'000'000ull;
 
-    /** Invariant checking (src/check/): on by default so every test and
-     *  microbenchmark runs fully audited; the paper grids and the
-     *  ablation bench switch it off to keep reported timings clean. */
+    /** Invariant checking (src/check/): on by default so every test
+     *  runs fully audited; sweep points switch it off to keep reported
+     *  timings clean. */
     check::CheckConfig check;
 
     /** Axiomatic trace recording (src/axiom/): off by default -- it
@@ -81,8 +81,8 @@ struct MachineConfig
     fault::FaultConfig fault;
 
     /** When set, use this exact feature set instead of the canonical one
-     *  for `model` -- the hook the ablation benches use to toggle single
-     *  hardware features (MSHR count, bypassing, the SC store buffer). */
+     *  for `model` -- the hook that toggles single hardware features
+     *  (the ablation grid's scsb variant turns on the SC store buffer). */
     std::optional<ModelParams> modelOverride;
 
     /** Model checking (src/mc/): non-owning; when set, the Machine

@@ -142,7 +142,8 @@ dissBarrierWait(Processor &p, DissBarrierVar b, unsigned pid,
     }
 }
 
-/** Barrier implementation selector (ablated in bench_ablation). */
+/** Barrier implementation selector (the ablation grid's barrier-*
+ *  variants). */
 enum class BarrierKind
 {
     Central,        ///< lock-protected counter + sense-reversing flag

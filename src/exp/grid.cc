@@ -1,5 +1,7 @@
 #include "exp/grid.hh"
 
+#include <charconv>
+
 #include "fault/fault_config.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -83,6 +85,8 @@ SweepPoint::id() const
                   core::modelName(model), numProcs, cacheBytes, lineBytes,
                   delay, workloads::relaxScheduleName(schedule),
                   static_cast<unsigned long long>(seed));
+    if (!variant.empty())
+        base += "/V" + variant;
     // The "off" preset is behaviorally identical to no preset at all;
     // keeping the ids (and hence the derived seeds) equal lets a
     // fault-off sweep be checked against the golden baseline point for
@@ -101,6 +105,57 @@ SweepPoint::derivedSeed() const
     // small constants still see well-mixed high bits.
     return splitmix64(fnv1a(seedless.id()));
 }
+
+namespace
+{
+
+/** True when @p variant is @p prefix followed by a decimal count,
+ *  which lands in @p n. */
+bool
+countedVariant(const std::string &variant, const std::string &prefix,
+               unsigned &n)
+{
+    if (variant.size() <= prefix.size() || variant.rfind(prefix, 0) != 0)
+        return false;
+    const char *last = variant.data() + variant.size();
+    unsigned value = 0;
+    const auto [end, error] =
+        std::from_chars(variant.data() + prefix.size(), last, value);
+    if (error != std::errc() || end != last)
+        return false;
+    n = value;
+    return true;
+}
+
+bool
+barrierVariant(const std::string &variant)
+{
+    return variant == "barrier-dissemination" ||
+           variant == "barrier-central";
+}
+
+/** The machine half of SweepPoint::variant; fatal() outside the set. */
+void
+applyVariant(const std::string &variant, core::MachineConfig &cfg)
+{
+    if (variant.empty() || variant == "readown" || barrierVariant(variant))
+        return;  // the paper machine, or a workload variant
+    if (variant == "nlpf") {
+        cfg.nextLinePrefetch = true;
+    } else if (variant == "scsb") {
+        core::ModelParams params = cfg.modelParams();
+        params.scStoreBufferRelease = true;
+        cfg.modelOverride = params;
+    } else if (!countedVariant(variant, "mshrs", cfg.relaxedMshrs) &&
+               !countedVariant(variant, "buffer", cfg.bufferEntries) &&
+               !countedVariant(variant, "radix", cfg.switchRadix)) {
+        fatal("unknown variant '%s' (mshrsN, bufferN, radixN, nlpf, "
+              "scsb, readown, barrier-dissemination, barrier-central)",
+              variant.c_str());
+    }
+}
+
+} // namespace
 
 core::MachineConfig
 SweepPoint::machineConfig() const
@@ -129,6 +184,7 @@ SweepPoint::machineConfig() const
         // workload data never correlate.
         cfg.fault.seed = splitmix64(derivedSeed() ^ 0xFA171FA171FA171Full);
     }
+    applyVariant(variant, cfg);
     return cfg;
 }
 
@@ -202,6 +258,7 @@ SweepPoint::makeWorkload() const
         p.n = scale == Scale::Full ? 250
               : scale == Scale::Scaled ? 150
                                        : 64;
+        p.readOwn = variant == "readown";
         if (seed)
             p.seed = seed;
         return std::make_unique<workloads::GaussWorkload>(p);
@@ -239,6 +296,19 @@ SweepPoint::makeWorkload() const
         if (seed)
             p.seed = seed;
         return std::make_unique<workloads::PsimWorkload>(p);
+    }
+    if (benchmark == "Synthetic" && barrierVariant(variant)) {
+        // The barrier-heavy stream, the same at every scale.
+        workloads::SyntheticParams p;
+        p.refsPerProc = 4000;
+        p.barrierEvery = 100;
+        p.privateWords = 1024;
+        p.barrierKind = variant == "barrier-central"
+                            ? cpu::BarrierKind::Central
+                            : cpu::BarrierKind::Dissemination;
+        if (seed)
+            p.seed = seed;
+        return std::make_unique<workloads::SyntheticWorkload>(p);
     }
     if (benchmark == "Synthetic")
         return std::make_unique<workloads::SyntheticWorkload>(
@@ -321,14 +391,46 @@ traceQuickGrid()
     return grid;
 }
 
+/** Each one-variant change to the paper machine (16 procs, small cache,
+ *  16-byte lines) that the ablation report reads, after the six plain
+ *  points it compares them with; every configuration once. */
+Grid
+ablationGrid(Scale scale)
+{
+    using core::Model;
+    Grid grid{"ablation", {}};
+    auto add = [&](const char *benchmark, Model model,
+                   const char *variant) {
+        SweepPoint p = paperPoint(benchmark, model, scale,
+                                  /*big_cache=*/false, /*line_bytes=*/16);
+        p.variant = variant;
+        grid.points.push_back(std::move(p));
+    };
+    add("Gauss", Model::WO1, "");
+    add("Gauss", Model::SC1, "");
+    add("Gauss", Model::SC2, "");
+    add("Qsort", Model::WO1, "");
+    add("Qsort", Model::WO2, "");
+    add("Relax", Model::SC1, "");
+    for (const char *variant :
+         {"mshrs1", "mshrs2", "mshrs3", "mshrs8", "mshrs16", "buffer1",
+          "buffer2", "buffer8", "buffer16", "radix2", "readown", "nlpf"})
+        add("Gauss", Model::WO1, variant);
+    add("Gauss", Model::SC1, "nlpf");
+    add("Relax", Model::SC1, "scsb");
+    add("Synthetic", Model::WO1, "barrier-dissemination");
+    add("Synthetic", Model::WO1, "barrier-central");
+    return grid;
+}
+
 } // namespace
 
 const std::vector<std::string> &
 gridNames()
 {
     static const std::vector<std::string> names = {
-        "quick", "trace-quick", "fig2", "fig4",   "fig5",      "fig6",
-        "fig7",  "fig8",        "fig9", "table2", "tables3_6"};
+        "quick", "trace-quick", "fig2", "fig4",      "fig5",    "fig6",
+        "fig7",  "fig8",        "fig9", "tables3_6", "ablation"};
     return names;
 }
 
@@ -341,7 +443,7 @@ namedGrid(const std::string &name, Scale scale)
         return quickGrid();
     if (name == "trace-quick")
         return traceQuickGrid();
-    if (name == "fig2" || name == "table2") {
+    if (name == "fig2") {
         crossInto(grid, benchmarkNames(), {Model::SC1}, scale,
                   {false, true});
         return grid;
@@ -393,6 +495,8 @@ namedGrid(const std::string &name, Scale scale)
                       scale, {false, true}, 16, delay);
         return grid;
     }
+    if (name == "ablation")
+        return ablationGrid(scale);
     fatal("unknown grid '%s'", name.c_str());
 }
 

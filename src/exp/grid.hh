@@ -5,11 +5,11 @@
  * report (exp/report.hh), and the golden-baseline tests all agree on
  * exactly the same jobs.
  *
- * A SweepPoint is one (benchmark, model, geometry, seed) tuple. Its
- * canonical id() string doubles as the job key in results documents and
- * as the input to the deterministic seed derivation (sim/random.hh
- * fnv1a): a job's seed is a pure function of its configuration, never of
- * wall clock or worker scheduling.
+ * A SweepPoint is one (benchmark, model, geometry, seed, variant)
+ * tuple. Its canonical id() string doubles as the job key in results
+ * documents and as the input to the deterministic seed derivation
+ * (sim/random.hh fnv1a): a job's seed is a pure function of its
+ * configuration, never of wall clock or worker scheduling.
  */
 
 #ifndef MCSIM_EXP_GRID_HH
@@ -79,10 +79,20 @@ struct SweepPoint
      *  "heavy"); empty = perfect hardware. The fault seed derives from
      *  the point id, so chaos jobs reproduce in isolation. */
     std::string faultPreset;
+    /** One named change to the paper machine or workload (the ablation
+     *  grid); empty = none. The closed set: mshrsN, bufferN and radixN
+     *  set the relaxed models' MSHR count, the interface-buffer depth
+     *  and the switch radix to N; nlpf turns next-line prefetch on; scsb
+     *  turns the SC store-buffer release on; readown gives Gauss
+     *  read-with-ownership; barrier-dissemination and barrier-central
+     *  make Synthetic the barrier-heavy stream with that barrier.
+     *  machineConfig() fatal()s on any other name. */
+    std::string variant;
 
     /** Canonical unique id, e.g. "Gauss/WO1/p16/c8192/l16/d4/default/s0";
-     *  faulted points append "/F<preset>" so fault-free ids -- and the
-     *  goldens keyed by them -- are untouched. */
+     *  a variant appends "/V<name>" and a faulted point "/F<preset>", so
+     *  plain fault-free ids -- and the goldens keyed by them -- are
+     *  untouched. */
     std::string id() const;
 
     /** Seed derived from the seedless id -- what grid builders assign
@@ -117,12 +127,13 @@ SweepPoint paperPoint(const std::string &benchmark, core::Model model,
 const std::vector<std::string> &gridNames();
 
 /**
- * Build a named grid: fig2, fig4..fig9, table2, tables3_6 (the paper
- * experiments, at @p scale), quick (the CI grid: all 7 models x 4
- * workloads at one small configuration, always Quick scale, per-point
- * derived seeds), or trace-quick (quick's shape over the 4 synthetic
- * trace generators instead of the paper workloads). fatal() on unknown
- * names.
+ * Build a named grid: fig2, fig4..fig9, tables3_6 (the paper
+ * experiments, at @p scale), ablation (one-variant changes to the paper
+ * machine, each configuration once, at @p scale), quick (the CI grid:
+ * all 7 models x 4 workloads at one small configuration, always Quick
+ * scale, per-point derived seeds), or trace-quick (quick's shape over
+ * the 4 synthetic trace generators instead of the paper workloads).
+ * fatal() on unknown names.
  */
 Grid namedGrid(const std::string &name, Scale scale);
 

@@ -359,6 +359,75 @@ tables3to6(const GridRecords &r)
     return out;
 }
 
+/** The ablation studies: each section changes one thing about the
+ *  paper machine (16 procs, small cache, 16-byte lines) and reports run
+ *  time; a paper value reads the plain point. The sections keep the
+ *  committed numbering and order. */
+std::string
+ablation(const GridRecords &r)
+{
+    std::string out = strprintf("Ablation studies (Gauss, 16 procs, %s "
+                                "caches, 16B lines)\n",
+                                cacheLabel(r.scale, false).c_str());
+    out += headerRule;
+    int width = 0;  // of the current section's label column
+    auto section = [&](const char *title, const std::string &column,
+                       int column_width) {
+        width = column_width;
+        out += strprintf("\n%s\n%-*s %12s\n", title, width, column.c_str(),
+                         "Mcycles");
+    };
+    auto row = [&](const std::string &label, const char *benchmark,
+                   Model model, const std::string &variant) {
+        SweepPoint p = r.point(benchmark, model, false, 16);
+        p.variant = variant;
+        out += strprintf("%-*s %12.3f\n", width, label.c_str(),
+                         r.metric(p, "cycles") / 1e6);
+    };
+
+    section("[1] WO1 MSHR count (paper: 5)", "mshrs", 8);
+    for (unsigned n : {1u, 2u, 3u, 5u, 8u, 16u})
+        row(std::to_string(n), "Gauss", Model::WO1,
+            n == 5 ? "" : strprintf("mshrs%u", n));
+    section("[2] Interface buffer depth (paper: 4)", "entries", 8);
+    for (unsigned n : {1u, 2u, 4u, 8u, 16u})
+        row(std::to_string(n), "Gauss", Model::WO1,
+            n == 4 ? "" : strprintf("buffer%u", n));
+    section("[3] WO2 load bypassing (Qsort)", "bypass", 10);
+    row("off (WO1)", "Qsort", Model::WO1, "");
+    row("on (WO2)", "Qsort", Model::WO2, "");
+    section("[4] SC1 store-buffer release (Relax)", "buffered", 10);
+    row("on", "Relax", Model::SC1, "scsb");
+    row("off", "Relax", Model::SC1, "");
+
+    const SweepPoint sc2 = r.point("Gauss", Model::SC2, false, 16);
+    const double issued = r.metric(sc2, "prefetchesIssued");
+    const double useful = r.metric(sc2, "prefetchesUseful");
+    out += strprintf("\n[5] SC2 prefetches: issued=%.0f useful=%.0f "
+                     "(%.0f%%)\n",
+                     issued, useful,
+                     issued > 0 ? 100.0 * useful / issued : 0.0);
+
+    section("[6] Switch arity (paper: 4x4)", "radix", 8);
+    row("2x2", "Gauss", Model::WO1, "radix2");
+    row("4x4", "Gauss", Model::WO1, "");
+    section("[8] Next-line prefetch (Gauss)",
+            strprintf("%-14s %-8s", "model", "nlpf"), 23);
+    for (Model model : {Model::SC1, Model::WO1})
+        for (bool nlpf : {false, true})
+            row(strprintf("%-14s %-8s", core::modelName(model),
+                          nlpf ? "on" : "off"),
+                "Gauss", model, nlpf ? "nlpf" : "");
+    section("[9] Gauss read-with-ownership (WO1)", "readOwn", 8);
+    row("off", "Gauss", Model::WO1, "");
+    row("on", "Gauss", Model::WO1, "readown");
+    section("[7] Barrier implementation (barrier-heavy synthetic)",
+            "barrier", 15);
+    for (const char *kind : {"dissemination", "central"})
+        row(kind, "Synthetic", Model::WO1, std::string("barrier-") + kind);
+    return out;
+}
+
 /** The tables of paper grid @p grid. */
 std::string
 renderGrid(const std::string &grid, const GridRecords &r)
@@ -368,7 +437,7 @@ renderGrid(const std::string &grid, const GridRecords &r)
     const std::vector<Model> blocking = {Model::SC1, Model::BWO1,
                                          Model::WO1};
     if (grid == "fig2")
-        return figure2(r);
+        return figure2(r) + "\n" + table2(r);
     if (grid == "fig4" || grid == "fig5")
         return modelFigure(r, grid, Model::SC1, relaxed, grid == "fig5");
     if (grid == "fig6")
@@ -377,10 +446,10 @@ renderGrid(const std::string &grid, const GridRecords &r)
         return modelFigure(r, grid, Model::BSC1, blocking, grid == "fig8");
     if (grid == "fig9")
         return figure9(r);
-    if (grid == "table2")
-        return table2(r);
     if (grid == "tables3_6")
         return tables3to6(r);
+    if (grid == "ablation")
+        return ablation(r);
     fatal("no paper table for grid '%s'", grid.c_str());
 }
 

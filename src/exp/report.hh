@@ -2,9 +2,11 @@
  * @file
  * The paper's tables and figures, rendered from a results document.
  *
- * Each paper grid (fig2, fig4..fig9, table2, tables3_6) is the set of
- * points one figure or table reads. paperReport() finds every point it
- * needs by SweepPoint::id() among the grid's job records of an
+ * Each paper grid (fig2, fig4..fig9, tables3_6, ablation) is the set of
+ * points its figures or tables read: fig2 renders Figure 2 and then
+ * Tables 2/7/8/9 from the same 24 points, and ablation the studies of
+ * one-variant changes to the paper machine. paperReport() finds every
+ * point it needs by SweepPoint::id() among the grid's job records of an
  * "mcsim-sweep-v1" document and prints the rows from their metrics, so
  * nothing is re-run: a live sweep, a journal merge and the committed
  * results/BENCH_sweep.json all print the same text. The scale comes

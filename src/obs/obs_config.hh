@@ -20,9 +20,6 @@ struct ObsConfig
 {
     /** Construct and wire the ring-buffer event tracer. */
     bool tracer = false;
-    /** Initial armed state: a wired-but-disarmed tracer measures the
-     *  off-path cost (bench_micro) and can be armed mid-run. */
-    bool tracerArmed = true;
     /** Ring capacity in events; the oldest events are overwritten. */
     std::size_t tracerEvents = std::size_t(1) << 16;
 };

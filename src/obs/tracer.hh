@@ -8,12 +8,8 @@
  * events when full, so memory use is bounded and a trace of the *end*
  * of a run is always available.
  *
- * Two kill switches keep the off path near-free:
- *  - runtime: span() is a single predictable-branch early return while
- *    the tracer is disarmed (and components hold a nullptr when no
- *    tracer is wired at all);
- *  - compile time: defining MCSIM_OBS_NO_TRACING compiles span() to
- *    nothing.
+ * Tracing is off when no tracer is wired: components then hold a
+ * nullptr and each span site's `if (tracer)` test is the whole cost.
  */
 
 #ifndef MCSIM_OBS_TRACER_HH
@@ -83,28 +79,12 @@ class Tracer
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
 
-    /** Runtime kill switch. @{ */
-    bool armed() const { return on; }
-    void arm(bool enable) { on = enable; }
-    /** @} */
-
-    /** Record a span; near-free when disarmed or compiled out. */
+    /** Record a span. */
     void
     span(Track track, std::uint32_t id, SpanKind kind, Tick begin,
          Tick dur, Addr arg = 0)
     {
-#ifdef MCSIM_OBS_NO_TRACING
-        (void)track;
-        (void)id;
-        (void)kind;
-        (void)begin;
-        (void)dur;
-        (void)arg;
-#else
-        if (!on)
-            return;
         push(TraceEvent{begin, dur, arg, id, track, kind});
-#endif
     }
 
     std::size_t size() const { return count; }
@@ -122,7 +102,6 @@ class Tracer
     std::size_t head = 0;  ///< index of the oldest event
     std::size_t count = 0;
     std::uint64_t drops = 0;
-    bool on = true;
 };
 
 } // namespace mcsim::obs

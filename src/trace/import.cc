@@ -7,6 +7,7 @@
 
 #include "mem/functional_memory.hh"
 #include "sim/logging.hh"
+#include "svc/atomic_file.hh"
 #include "trace/reader.hh"
 
 namespace mcsim::trace
@@ -218,14 +219,17 @@ importTextTraceFile(const std::string &text_path,
     if (bad)
         fatal("trace import: read error on '%s'", text_path.c_str());
 
-    FileSink sink(out_path);
+    MemorySink sink;
     const ImportSummary summary = importTextTrace(text, params, sink);
-    sink.close();
 
-    // Validate the artifact end to end: an importer bug must fail the
-    // command, never linger as a bad .mct.
-    TraceReader reader(std::make_shared<FileSource>(out_path));
+    // Validate the encoding before anything reaches out_path: a rejected
+    // input or an importer bug must fail the command and leave the file
+    // there as it was, never an empty or bad .mct.
+    std::vector<std::uint8_t> bytes = sink.take();
+    const std::string content(bytes.begin(), bytes.end());
+    TraceReader reader(std::make_shared<MemorySource>(std::move(bytes)));
     reader.validate();
+    svc::writeFileAtomic(out_path, content);
     return summary;
 }
 

@@ -62,7 +62,9 @@ struct ImportSummary
 ImportSummary importTextTrace(const std::string &text,
                               const ImportParams &params, ByteSink &sink);
 
-/** File-to-file convenience: reads @p text_path, writes @p out_path. */
+/** File-to-file convenience: reads @p text_path and, once the import
+ *  validates, writes @p out_path atomically; a rejected import leaves
+ *  @p out_path as it was. */
 ImportSummary importTextTraceFile(const std::string &text_path,
                                   const std::string &out_path,
                                   const ImportParams &params);

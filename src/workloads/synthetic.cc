@@ -77,6 +77,13 @@ SyntheticWorkload::body(cpu::Processor &proc, SyntheticWorkload &w,
                               w.barrierCtx[pid]);
 }
 
+std::uint64_t
+SyntheticWorkload::resultFingerprint(core::Machine &machine) const
+{
+    return machine.memory().fingerprint(
+        privateBase.front(), counterAddr + 8 - privateBase.front());
+}
+
 void
 SyntheticWorkload::verify(core::Machine &machine) const
 {

@@ -1,9 +1,10 @@
 /**
  * @file
  * Synthetic microworkload: a parameterized reference stream used by the
- * unit/property tests and the ablation benches. Each processor walks a
- * private region plus an optionally shared region with a configurable
- * store fraction, compute density, and synchronization rate.
+ * unit/property tests, the fuzz grid and the ablation grid's barrier
+ * points. Each processor walks a private region plus an optionally
+ * shared region with a configurable store fraction, compute density,
+ * and synchronization rate.
  */
 
 #ifndef MCSIM_WORKLOADS_SYNTHETIC_HH
@@ -52,6 +53,11 @@ class SyntheticWorkload : public Workload
     void verify(core::Machine &machine) const override;
     /** The random streams hit shared words without locking by design. */
     bool dataRaceFree() const override { return false; }
+    /** The private regions and the lock-protected counter: the racy
+     *  shared words end with whichever store lands last, but each
+     *  private region is written only by its processor, from its own
+     *  seeded stream. */
+    std::uint64_t resultFingerprint(core::Machine &machine) const override;
 
   private:
     static SimTask body(cpu::Processor &proc, SyntheticWorkload &w,

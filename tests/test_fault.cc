@@ -348,3 +348,26 @@ TEST(FaultTransparency, QuickGridUnderStandardFaults)
     EXPECT_GT(report.totalRetries(), 0u);
     EXPECT_TRUE(report.ok()) << report.summary();
 }
+
+TEST(FaultTransparency, AblationBarrierPointsUnderStandardFaults)
+{
+    // Synthetic stores to shared words without locks, so which racing
+    // store lands last varies with timing; its fingerprint covers only
+    // the private regions and the lock-protected counter, which every
+    // schedule must agree on.
+    const exp::Grid ablation = exp::namedGrid("ablation", exp::Scale::Quick);
+    exp::Grid grid{"ablation-barriers", {}};
+    for (const exp::SweepPoint &point : ablation.points)
+        if (point.benchmark == "Synthetic")
+            grid.points.push_back(point);
+    ASSERT_EQ(grid.points.size(), 2u);
+
+    exp::ChaosOptions opts;
+    opts.preset = "standard";
+    opts.progress = false;
+    const exp::ChaosReport report = exp::runChaos(grid, opts);
+    for (const exp::ChaosPointResult &r : report.points)
+        EXPECT_TRUE(r.ok) << r.id << ": " << r.error;
+    EXPECT_GT(report.totalInjected(), 0u);
+    EXPECT_TRUE(report.ok()) << report.summary();
+}

@@ -202,18 +202,6 @@ TEST(Tracer, RingKeepsNewestAndCountsDrops)
     EXPECT_EQ(expect_id, 6u);
 }
 
-TEST(Tracer, DisarmedSpanRecordsNothing)
-{
-    obs::Tracer tracer(8);
-    tracer.arm(false);
-    tracer.span(obs::Track::Proc, 0, obs::SpanKind::Busy, 0, 5);
-    EXPECT_EQ(tracer.size(), 0u);
-    EXPECT_EQ(tracer.dropped(), 0u);
-    tracer.arm(true);
-    tracer.span(obs::Track::Proc, 0, obs::SpanKind::Busy, 0, 5);
-    EXPECT_EQ(tracer.size(), 1u);
-}
-
 TEST(Perfetto, ExportsParseableTraceEvents)
 {
     obs::Tracer tracer(16);
@@ -255,8 +243,8 @@ TEST(Perfetto, ExportsParseableTraceEvents)
 }
 
 // End to end: a machine with the tracer wired retains spans from every
-// component class, and a disarmed tracer retains none while the stall
-// accounting still tiles (attribution never depends on the tracer).
+// component class, and without one the stall accounting still tiles
+// (attribution never depends on the tracer).
 TEST(Tracer, MachineWiresAllTracks)
 {
     exp::SweepPoint point = exp::paperPoint(
@@ -278,21 +266,12 @@ TEST(Tracer, MachineWiresAllTracks)
     const StatSet stats = traced.machine->collectStats();
     EXPECT_TRUE(stats.has("obs.trace_events"));
 
-    exp::SweepPoint disarmed_point = point;
-    PointRun disarmed(disarmed_point);
-    core::MachineConfig cfg = disarmed_point.machineConfig();
-    cfg.obs.tracer = true;
-    cfg.obs.tracerArmed = false;
-    auto workload = disarmed_point.makeWorkload();
-    core::Machine machine(cfg);
-    workload->setup(machine);
-    const Tick last = machine.run();
-    ASSERT_NE(machine.tracer(), nullptr);
-    EXPECT_EQ(machine.tracer()->size(), 0u);
-    const auto m = core::RunMetrics::fromMachine(machine, last);
+    const PointRun untraced(point);
+    EXPECT_EQ(untraced.machine->tracer(), nullptr);
+    const core::RunMetrics m = untraced.metrics();
     EXPECT_EQ(m.breakdown.accounted() + m.idleCycles,
-              static_cast<std::uint64_t>(last) * machine.numProcs());
-    // Identical timing with the tracer armed, disarmed, or absent.
-    EXPECT_EQ(last, traced.last);
-    EXPECT_EQ(last, disarmed.last);
+              static_cast<std::uint64_t>(untraced.last) *
+                  untraced.machine->numProcs());
+    // Identical timing with the tracer wired or absent.
+    EXPECT_EQ(untraced.last, traced.last);
 }

@@ -1,23 +1,27 @@
 /**
  * @file
  * The paper-table report (exp/report.hh), checked against the committed
- * results without running a simulation: rendering
- * results/BENCH_sweep.json must reproduce every table in
- * results/bench_all.txt verbatim, and a grid with a missing or failed
- * point must shrink to one line without hiding the other grids.
+ * results without running a simulation: results/bench_all.txt must be
+ * the report rendered from results/BENCH_sweep.json plus sweep_runner's
+ * summary line, and a grid with a missing or failed point must shrink to
+ * one line without hiding the other grids. The ablation grid's points
+ * are each one named variant of a plain paper point.
  *
  * After a change that moves the numbers, regenerate both files with the
  * command in EXPERIMENTS.md ("Regenerating results").
  */
 
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "exp/json.hh"
 #include "exp/report.hh"
 #include "exp/sweep.hh"
+#include "sim/logging.hh"
 
 using namespace mcsim;
 
@@ -58,6 +62,27 @@ committedGrid(const std::string &name)
     return jobs ? *jobs : exp::Json::array();
 }
 
+/** The MachineConfig fields a sweep point or a variant sets, and the
+ *  feature set they build, as one comparable line. */
+std::string
+describe(const core::MachineConfig &c)
+{
+    const core::ModelParams m = c.modelParams();
+    return strprintf(
+        "procs=%u modules=%u model=%s mshrs=%u cache=%u/%u/%u delay=%u/%u "
+        "radix=%u buffer=%u nlpf=%d max=%llu check=%d trace=%d fault=%d "
+        "tracer=%d override=%d params=%s/%u/%d%d%d%d%d%d%d",
+        c.numProcs, c.numModules, core::modelName(c.model), c.relaxedMshrs,
+        c.cacheBytes, c.lineBytes, c.assoc, c.loadDelay, c.branchDelay,
+        c.switchRadix, c.bufferEntries, c.nextLinePrefetch,
+        static_cast<unsigned long long>(c.maxCycles),
+        static_cast<int>(c.check.mode), c.trace.record, c.fault.enable,
+        c.obs.tracer, c.modelOverride.has_value(), core::modelName(m.model),
+        m.numMshrs, m.singleOutstanding, m.blockingLoads, m.prefetchOnStall,
+        m.loadBypass, m.releaseConsistent, m.syncDrains,
+        m.scStoreBufferRelease);
+}
+
 } // namespace
 
 TEST(Report, CommittedResultsRenderBenchAll)
@@ -68,12 +93,79 @@ TEST(Report, CommittedResultsRenderBenchAll)
           "Figure 5 reproduction", "Figure 6 reproduction",
           "Figure 7 reproduction", "Figure 8 reproduction",
           "Figure 9 reproduction", "Table 2 / 7 / 8 / 9 reproduction",
-          "Tables 3-6 reproduction"})
+          "Tables 3-6 reproduction", "Ablation studies"})
         EXPECT_NE(report.find(title), std::string::npos) << title;
     EXPECT_EQ(report.find("not rendered"), std::string::npos) << report;
-    EXPECT_NE(readResult("bench_all.txt").find(report), std::string::npos)
-        << "results/bench_all.txt does not hold the tables rendered from "
+    std::size_t jobs = 0;
+    for (const auto &[name, grid] : committed().find("grids")->pairs()) {
+        (void)name;
+        jobs += grid.size();
+    }
+    // sweep_runner's stdout: the report, a blank line, the summary.
+    EXPECT_EQ(readResult("bench_all.txt"),
+              report + strprintf("\nsweep_runner: %zu/%zu job(s) ok\n",
+                                 jobs, jobs))
+        << "results/bench_all.txt is not the report rendered from "
            "results/BENCH_sweep.json; regenerate both";
+}
+
+TEST(Report, AblationPointsArePaperPointsWithOneVariant)
+{
+    const exp::Scale scale = exp::Scale::Scaled;
+    const exp::Grid grid = exp::namedGrid("ablation", scale);
+    std::set<std::string> ids;
+    for (const exp::SweepPoint &point : grid.points)
+        ids.insert(point.id());
+    EXPECT_EQ(grid.points.size(), 22u);
+    EXPECT_EQ(ids.size(), 22u);
+
+    for (const exp::SweepPoint &point : grid.points) {
+        exp::SweepPoint plain = point;
+        plain.variant.clear();
+        EXPECT_EQ(plain.id(),
+                  exp::paperPoint(point.benchmark, point.model, scale,
+                                  /*big_cache=*/false, /*line_bytes=*/16)
+                      .id());
+        const std::string &v = point.variant;
+        if (v.empty())
+            continue;
+        EXPECT_EQ(point.id(), plain.id() + "/V" + v);
+
+        // The variant's machine is the plain one with the named field
+        // changed; readown and the barrier kinds change the workload.
+        core::MachineConfig expected = plain.machineConfig();
+        bool machine_variant = true;
+        if (v.rfind("mshrs", 0) == 0) {
+            expected.relaxedMshrs = std::stoul(v.substr(5));
+        } else if (v.rfind("buffer", 0) == 0) {
+            expected.bufferEntries = std::stoul(v.substr(6));
+        } else if (v.rfind("radix", 0) == 0) {
+            expected.switchRadix = std::stoul(v.substr(5));
+        } else if (v == "nlpf") {
+            expected.nextLinePrefetch = true;
+        } else if (v == "scsb") {
+            core::ModelParams params = expected.modelParams();
+            params.scStoreBufferRelease = true;
+            expected.modelOverride = params;
+        } else {
+            EXPECT_TRUE(v == "readown" || v == "barrier-dissemination" ||
+                        v == "barrier-central")
+                << v;
+            machine_variant = false;
+        }
+        EXPECT_EQ(describe(point.machineConfig()), describe(expected)) << v;
+        if (machine_variant) {
+            EXPECT_NE(describe(point.machineConfig()),
+                      describe(plain.machineConfig()))
+                << v;
+        }
+    }
+
+    exp::SweepPoint bogus = grid.points.front();
+    for (const char *name : {"turbo", "mshrs", "buffer4x", "radix-2"}) {
+        bogus.variant = name;
+        EXPECT_THROW(bogus.machineConfig(), FatalError) << name;
+    }
 }
 
 TEST(Report, FailedOrMissingPointShrinksToOneLine)

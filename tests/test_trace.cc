@@ -17,7 +17,10 @@
  */
 
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -807,6 +810,32 @@ TEST(TraceImport, RejectsEveryMalformedLineWithItsNumber)
         EXPECT_THROW(trace::importTextTrace(c.text, {}, sink), FatalError)
             << c.why;
     }
+}
+
+TEST(TraceImport, RejectedFileImportLeavesTheOutputAsItWas)
+{
+    char tmpl[] = "/tmp/mcsim_import_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    const std::string text_path = dir + "/bad.txt";
+    std::ofstream(text_path) << "0 r 0x100\n0 q 0x200\n";
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+
+    const std::string existing = dir + "/existing.mct";
+    std::ofstream(existing, std::ios::binary) << "previous bytes";
+    EXPECT_THROW(trace::importTextTraceFile(text_path, existing, {}),
+                 FatalError);
+    EXPECT_EQ(slurp(existing), "previous bytes");
+
+    const std::string fresh = dir + "/fresh.mct";
+    EXPECT_THROW(trace::importTextTraceFile(text_path, fresh, {}),
+                 FatalError);
+    EXPECT_FALSE(std::filesystem::exists(fresh));
+    EXPECT_FALSE(std::filesystem::exists(fresh + ".tmp"));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TraceImport, ImportedTracesReplayOnEveryModel)

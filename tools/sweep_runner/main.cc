@@ -17,10 +17,11 @@
  * Defaults: --grid quick, --threads hardware. Files are written only
  * when asked for: --out, --csv, --golden-out.
  *
- * Each paper grid (fig2, fig4..fig9, table2, tables3_6) prints its
- * figure's or table's rows on stdout (exp::paperReport, rendered from
+ * Each paper grid (fig2, fig4..fig9, tables3_6, ablation) prints its
+ * figures' or tables' rows on stdout (exp::paperReport, rendered from
  * the results document), so `sweep_runner --grid fig4 --scale full`
- * reproduces Figure 4 at the paper's sizes.
+ * reproduces Figure 4 at the paper's sizes, and one command writes all
+ * of results/ (EXPERIMENTS.md, "Regenerating results").
  *
  * The JSON document is byte-identical for a given grid list regardless
  * of --threads (results are serialized in grid order; nothing
@@ -118,7 +119,7 @@ usage(const char *argv0)
         "          [--procs N] [--cache-bytes N] [--line-bytes N]\n"
         "          [--faults PRESET] [--chaos] [--list] [--no-progress]\n"
         "  --grid        grid(s) to run: %s, or all (default: quick)\n"
-        "  --scale       problem/cache scale for the paper grids\n"
+        "  --scale       problem/cache scale for the paper/ablation grids\n"
         "                (default scaled; the quick grid is always quick)\n"
         "  --threads     worker threads (default: hardware concurrency)\n"
         "  --out         write the results JSON (the chaos report under\n"
